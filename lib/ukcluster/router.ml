@@ -241,8 +241,10 @@ let rec pick_untried t req salt left =
 (* Until the latency estimator has a usable sample, hedge at the
    configured floor — waiting half an attempt-timeout would leave the
    whole warm-up phase unprotected against stragglers. The percentile
-   is refreshed every 256 completions: computing it per request would
-   re-sort the whole latency history each time. *)
+   is refreshed every 256 completions. A refresh sorts only the samples
+   added since the previous one, so the cadence is not there for cost:
+   the cached threshold decides which requests hedge, and a different
+   cadence would change every replay. *)
 let hedge_delay t =
   let n = Uksim.Stats.count t.lat in
   if n < 64 then t.p.hedge_min_ns

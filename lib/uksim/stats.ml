@@ -1,10 +1,13 @@
+(* Invariant: [data.(0 .. sorted_upto-1)] is sorted by [Float.compare];
+   [data.(sorted_upto .. size-1)] is in insertion order. *)
 type t = {
   mutable data : float array;
   mutable size : int;
-  mutable sorted : bool;
+  mutable sorted_upto : int;
+  mutable scratch : float array;
 }
 
-let create () = { data = [||]; size = 0; sorted = true }
+let create () = { data = [||]; size = 0; sorted_upto = 0; scratch = [||] }
 
 let add t x =
   let cap = Array.length t.data in
@@ -14,47 +17,131 @@ let add t x =
     t.data <- nd
   end;
   t.data.(t.size) <- x;
-  t.size <- t.size + 1;
-  t.sorted <- false
+  t.size <- t.size + 1
 
 let count t = t.size
 
 let clear t =
   t.size <- 0;
-  t.sorted <- true
+  t.sorted_upto <- 0
 
-let fold f acc t =
-  let r = ref acc in
-  for i = 0 to t.size - 1 do
-    r := f !r t.data.(i)
-  done;
-  !r
+let mean t =
+  if t.size = 0 then nan
+  else begin
+    let d = t.data in
+    let acc = ref 0.0 in
+    for i = 0 to t.size - 1 do
+      acc := !acc +. d.(i)
+    done;
+    !acc /. float_of_int t.size
+  end
 
-let mean t = if t.size = 0 then nan else fold ( +. ) 0.0 t /. float_of_int t.size
-
+(* The comparisons of [Stdlib.min]/[Stdlib.max], unboxed: a NaN sample
+   is kept or skipped exactly as they would. *)
 let min t =
-  if t.size = 0 then nan else fold Stdlib.min infinity t
+  if t.size = 0 then nan
+  else begin
+    let d = t.data in
+    let acc = ref infinity in
+    for i = 0 to t.size - 1 do
+      let x = d.(i) in
+      if not (!acc <= x) then acc := x
+    done;
+    !acc
+  end
 
 let max t =
-  if t.size = 0 then nan else fold Stdlib.max neg_infinity t
+  if t.size = 0 then nan
+  else begin
+    let d = t.data in
+    let acc = ref neg_infinity in
+    for i = 0 to t.size - 1 do
+      let x = d.(i) in
+      if not (!acc >= x) then acc := x
+    done;
+    !acc
+  end
 
 let stddev t =
   if t.size < 2 then 0.0
   else begin
     let m = mean t in
-    let ss = fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 t in
-    sqrt (ss /. float_of_int (t.size - 1))
+    let d = t.data in
+    let ss = ref 0.0 in
+    for i = 0 to t.size - 1 do
+      let x = d.(i) in
+      ss := !ss +. ((x -. m) *. (x -. m))
+    done;
+    sqrt (!ss /. float_of_int (t.size - 1))
+  end
+
+let insertion_sort a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && Float.compare a.(!j) x > 0 do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Sort [a.(lo .. hi-1)] in place; [tmp.(lo-off ..)] is scratch. Each
+   merge copies the left run out and merges forward into [a]: the write
+   index never passes the right run's read index. *)
+let rec merge_sort a tmp off lo hi =
+  if hi - lo <= 16 then insertion_sort a lo hi
+  else begin
+    let mid = (lo + hi) / 2 in
+    merge_sort a tmp off lo mid;
+    merge_sort a tmp off mid hi;
+    if Float.compare a.(mid - 1) a.(mid) > 0 then begin
+      Array.blit a lo tmp (lo - off) (mid - lo);
+      let i = ref lo and j = ref mid and k = ref lo in
+      while !i < mid do
+        if !j < hi && Float.compare tmp.(!i - off) a.(!j) > 0 then begin
+          a.(!k) <- a.(!j);
+          incr j
+        end
+        else begin
+          a.(!k) <- tmp.(!i - off);
+          incr i
+        end;
+        incr k
+      done
+    end
   end
 
 let ensure_sorted t =
-  if not t.sorted then begin
-    let sub = Array.sub t.data 0 t.size in
-    Array.sort compare sub;
-    Array.blit sub 0 t.data 0 t.size;
-    t.sorted <- true
+  let p = t.sorted_upto and n = t.size in
+  if p < n then begin
+    let k = n - p in
+    if Array.length t.scratch < k then
+      t.scratch <- Array.make (Stdlib.max k (2 * Array.length t.scratch)) 0.0;
+    let d = t.data and s = t.scratch in
+    merge_sort d s p p n;
+    (* Merge the sorted tail into the prefix from the back; prefix values
+       below the tail's minimum are never touched. *)
+    if p > 0 && Float.compare d.(p - 1) d.(p) > 0 then begin
+      Array.blit d p s 0 k;
+      let i = ref (p - 1) and j = ref (k - 1) and w = ref (n - 1) in
+      while !j >= 0 do
+        if !i >= 0 && Float.compare d.(!i) s.(!j) > 0 then begin
+          d.(!w) <- d.(!i);
+          decr i
+        end
+        else begin
+          d.(!w) <- s.(!j);
+          decr j
+        end;
+        decr w
+      done
+    end;
+    t.sorted_upto <- n
   end
 
 let percentile t p =
+  if Float.is_nan p then invalid_arg "Stats.percentile: p is nan";
   if t.size = 0 then nan
   else begin
     ensure_sorted t;

@@ -1,10 +1,26 @@
 (** Online statistics and summaries for experiment reporting. *)
 
 type t
-(** An accumulating sample set (stores all observations). *)
+(** An accumulating sample set (stores all observations).
+
+    Samples live in one array: a prefix sorted by [Float.compare] (the
+    order polymorphic [compare] gives floats), then the samples added
+    since the last quantile query, in insertion order. A query sorts
+    that tail with an unboxed merge sort and merges it into the prefix
+    from the back, so the array holds exactly what re-sorting the whole
+    history at each query would leave there, and the summaries see the
+    same values in the same order.
+
+    Cost: {!add} is amortised O(1). A quantile query after [k] new
+    samples is O(k log k + moved), where [moved] counts the prefix
+    samples above the smallest new one. Once the scratch buffer has
+    grown to the largest tail seen, queries allocate nothing. *)
 
 val create : unit -> t
+
 val add : t -> float -> unit
+(** Append a sample; the sorted prefix is left alone. *)
+
 val count : t -> int
 
 val clear : t -> unit
@@ -18,8 +34,9 @@ val max : t -> float
 val stddev : t -> float
 
 val percentile : t -> float -> float
-(** [percentile t p] for [p] in [\[0,100\]], linear interpolation;
-    [nan] when empty. *)
+(** [percentile t p] for [p] in [\[0,100\]] (clamped outside it), linear
+    interpolation; [nan] when empty. Exact: every sample is kept.
+    @raise Invalid_argument if [p] is NaN. *)
 
 val median : t -> float
 

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI entry point: build, run the full test suite, then smoke the chaos
-# soak at its fixed seed (UKRAFT_FAST shrinks the workloads; the run is
-# deterministic, so any numeric drift is a real regression).
+# CI entry point: build, run the full test suite and the benchmark
+# self-test, then smoke the chaos soak at its fixed seed (UKRAFT_FAST
+# shrinks the workloads; the run is deterministic, so any numeric drift
+# is a real regression).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -11,6 +12,9 @@ dune build
 echo "== tests =="
 python3 scripts/check_tests.py
 dune runtest
+
+echo "== benchmark self-test (perfbench checks, fixed seeds) =="
+python3 perfbench/selftest.py
 
 echo "== chaos smoke (fixed seed, fast workloads) =="
 UKRAFT_FAST=1 dune exec bench/main.exe -- --only chaos

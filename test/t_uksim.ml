@@ -172,6 +172,180 @@ let test_stats_empty () =
   Alcotest.(check bool) "mean of empty is nan" true (Float.is_nan (Stats.mean s));
   Alcotest.(check int) "count" 0 (Stats.count s)
 
+(* Reference implementation: every query sorts a copy of the whole
+   history with polymorphic [compare] and writes it back, so [data] is a
+   sorted prefix plus the samples added since, in insertion order. *)
+module Ref_stats = struct
+  type t = { mutable data : float array; mutable size : int; mutable sorted : bool }
+
+  let create () = { data = [||]; size = 0; sorted = true }
+
+  let add t x =
+    if t.size = Array.length t.data then begin
+      let nd = Array.make (Stdlib.max 64 (2 * t.size)) 0.0 in
+      Array.blit t.data 0 nd 0 t.size;
+      t.data <- nd
+    end;
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    t.sorted <- false
+
+  let clear t =
+    t.size <- 0;
+    t.sorted <- true
+
+  let fold f acc t =
+    let r = ref acc in
+    for i = 0 to t.size - 1 do
+      r := f !r t.data.(i)
+    done;
+    !r
+
+  let mean t = if t.size = 0 then nan else fold ( +. ) 0.0 t /. float_of_int t.size
+  let min t = if t.size = 0 then nan else fold Stdlib.min infinity t
+  let max t = if t.size = 0 then nan else fold Stdlib.max neg_infinity t
+
+  let stddev t =
+    if t.size < 2 then 0.0
+    else
+      let m = mean t in
+      sqrt (fold (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 t /. float_of_int (t.size - 1))
+
+  let percentile t p =
+    if t.size = 0 then nan
+    else begin
+      if not t.sorted then begin
+        let sub = Array.sub t.data 0 t.size in
+        Array.sort compare sub;
+        Array.blit sub 0 t.data 0 t.size;
+        t.sorted <- true
+      end;
+      let p = Stdlib.min 100.0 (Stdlib.max 0.0 p) in
+      let rank = p /. 100.0 *. float_of_int (t.size - 1) in
+      let lo = int_of_float (floor rank) and hi = int_of_float (ceil rank) in
+      if lo = hi then t.data.(lo)
+      else
+        let frac = rank -. float_of_int lo in
+        (t.data.(lo) *. (1.0 -. frac)) +. (t.data.(hi) *. frac)
+    end
+end
+
+(* Bit-for-bit, except that any NaN matches any NaN: which operand's
+   NaN an addition propagates (and so its sign bit) depends on the
+   operand order the compiler picks for a commutative [+.]. *)
+let check_bits what expected got =
+  if
+    Int64.bits_of_float expected <> Int64.bits_of_float got
+    && not (Float.is_nan expected && Float.is_nan got)
+  then Alcotest.failf "%s: expected %h, got %h" what expected got
+
+(* Every observable of [Stats] against the reference. *)
+let check_same what r s =
+  if r.Ref_stats.size <> Stats.count s then
+    Alcotest.failf "%s: count %d, expected %d" what (Stats.count s) r.Ref_stats.size;
+  check_bits (what ^ ": mean") (Ref_stats.mean r) (Stats.mean s);
+  check_bits (what ^ ": min") (Ref_stats.min r) (Stats.min s);
+  check_bits (what ^ ": max") (Ref_stats.max r) (Stats.max s);
+  check_bits (what ^ ": stddev") (Ref_stats.stddev r) (Stats.stddev s)
+
+(* Samples with many duplicates, negatives, infinities and NaN. [-0.0]
+   is left out: it compares equal to [0.0], and neither sort promises
+   an order between equal keys with different bits. *)
+let gen_sample rs =
+  match Random.State.int rs 8 with
+  | 0 -> float_of_int (Random.State.int rs 5)
+  | 1 -> -.(1.0 +. float_of_int (Random.State.int rs 5))
+  | 2 -> Random.State.float rs 1e6 -. 5e5
+  | 3 -> (match Random.State.int rs 3 with 0 -> infinity | 1 -> neg_infinity | _ -> nan)
+  | _ -> 100.0 +. Random.State.float rs 50.0
+
+let test_stats_matches_reference () =
+  let rs = Random.State.make [| 12 |] in
+  for seq = 1 to 400 do
+    let r = Ref_stats.create () and s = Stats.create () in
+    let ops = 1 + Random.State.int rs 600 in
+    for op = 1 to ops do
+      let what = Printf.sprintf "seq %d op %d" seq op in
+      match Random.State.int rs 20 with
+      | 0 ->
+          Ref_stats.clear r;
+          Stats.clear s
+      | 1 | 2 ->
+          let p = match Random.State.int rs 4 with
+            | 0 -> 97.0
+            | 1 -> float_of_int (Random.State.int rs 101)
+            | 2 -> Random.State.float rs 120.0 -. 10.0
+            | _ -> 99.9
+          in
+          check_bits (what ^ ": percentile") (Ref_stats.percentile r p) (Stats.percentile s p)
+      | 3 -> check_bits (what ^ ": median") (Ref_stats.percentile r 50.0) (Stats.median s)
+      | 4 -> check_same what r s
+      | _ ->
+          for _ = 1 to 1 + Random.State.int rs 40 do
+            let x = gen_sample rs in
+            Ref_stats.add r x;
+            Stats.add s x
+          done
+    done;
+    check_same (Printf.sprintf "seq %d end" seq) r s
+  done
+
+let test_stats_large_tail () =
+  let rs = Random.State.make [| 99 |] in
+  let r = Ref_stats.create () and s = Stats.create () in
+  let add_n n =
+    for _ = 1 to n do
+      let x = gen_sample rs in
+      Ref_stats.add r x;
+      Stats.add s x
+    done
+  in
+  add_n 40_000;
+  check_bits "p50 of the first batch" (Ref_stats.percentile r 50.0) (Stats.percentile s 50.0);
+  (* A 70k-sample unsorted tail on top of a 40k sorted prefix. *)
+  add_n 70_000;
+  check_same "before the big merge" r s;
+  List.iter
+    (fun p ->
+      check_bits (Printf.sprintf "p%g" p) (Ref_stats.percentile r p) (Stats.percentile s p))
+    [ 0.0; 1.0; 25.0; 50.0; 97.0; 99.0; 99.9; 100.0 ];
+  check_same "after the big merge" r s;
+  (* Reuse after clear keeps the grown buffers and still agrees. *)
+  Ref_stats.clear r;
+  Stats.clear s;
+  add_n 5_000;
+  check_bits "p97 after clear" (Ref_stats.percentile r 97.0) (Stats.percentile s 97.0);
+  check_same "after clear" r s
+
+(* A refresh sorts only the new samples and reuses the scratch buffer:
+   the router's every-256-completions hedge refresh over a 100k history
+   must not re-sort (or box) the whole history. *)
+let test_stats_refresh_allocation () =
+  let s = Stats.create () in
+  for i = 1 to 100_000 do
+    Stats.add s (float_of_int ((i * 7919) mod 100_003))
+  done;
+  ignore (Stats.percentile s 97.0);
+  let before = Gc.minor_words () in
+  for round = 1 to 100 do
+    for i = 1 to 256 do
+      Stats.add s (float_of_int ((round * 256 + i) * 104_729 mod 100_003))
+    done;
+    ignore (Stats.percentile s 97.0)
+  done;
+  let words = Gc.minor_words () -. before in
+  if words >= 1e6 then
+    Alcotest.failf "100 refreshes of a 100k history allocated %.0f minor words (limit 1M)" words
+
+let test_stats_nan_percentile () =
+  let s = Stats.create () in
+  let nan_p = Invalid_argument "Stats.percentile: p is nan" in
+  Alcotest.check_raises "nan p on empty" nan_p (fun () -> ignore (Stats.percentile s nan));
+  List.iter (fun x -> Stats.add s x) [ 3.0; 1.0; 2.0 ];
+  Alcotest.check_raises "nan p" nan_p (fun () -> ignore (Stats.percentile s nan));
+  Alcotest.(check (float 0.0)) "p above 100 clamps" 3.0 (Stats.percentile s 150.0);
+  Alcotest.(check (float 0.0)) "p below 0 clamps" 1.0 (Stats.percentile s (-5.0))
+
 let test_stats_throughput () =
   Alcotest.(check (float 0.01)) "1000 events in 1ms = 1M/s" 1_000_000.0
     (Stats.throughput_per_sec ~events:1000 ~elapsed_ns:1e6)
@@ -208,6 +382,10 @@ let suite =
     Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
     Alcotest.test_case "stats empty" `Quick test_stats_empty;
     Alcotest.test_case "stats throughput" `Quick test_stats_throughput;
+    Alcotest.test_case "stats match the full-re-sort reference" `Quick test_stats_matches_reference;
+    Alcotest.test_case "stats: 110k samples, 70k unsorted tail" `Quick test_stats_large_tail;
+    Alcotest.test_case "stats refresh allocates no history copy" `Quick test_stats_refresh_allocation;
+    Alcotest.test_case "stats percentile rejects nan" `Quick test_stats_nan_percentile;
     Alcotest.test_case "units formatting" `Quick test_units;
     Alcotest.test_case "cost table anchors (Table 1)" `Quick test_cost_table1;
   ]
