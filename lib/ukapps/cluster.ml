@@ -187,91 +187,72 @@ let t_start t =
   done;
   Uksim.Clock.ns (Uksmp.Smp.clock_of t.smp ~core:0)
 
+(* The one load driver: steer each client core's connections to its own
+   queue, spawn one client group per client core, align the cores, run
+   the domain to completion. Returns the measurement window's start. *)
+let drive t ~port ~connections_per_core spawn =
+  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
+  for j = 0 to t.n - 1 do
+    let core = t.n + j in
+    spawn
+      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
+      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
+      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
+      ~port_for:(fun ci -> Some ports.(j).(ci))
+  done;
+  let start = t_start t in
+  Uksmp.Smp.run t.smp;
+  start
+
+(* One server per server core, built on that core's clock, scheduler,
+   stack and allocator view. *)
+let per_core t f =
+  Array.init t.n (fun i ->
+      f ~clock:(Uksmp.Smp.clock_of t.smp ~core:i) ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
+        ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~core:i)
+
 (* --- httpd ---------------------------------------------------------------- *)
 
 let add_httpd t ?(port = 80) content =
-  Array.init t.n (fun i ->
-      Httpd.create
-        ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-        ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-        ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i content)
+  per_core t (fun ~clock ~sched ~stack ~alloc ~core ->
+      Httpd.create ~clock ~sched ~stack ~alloc ~port ~core content)
+
+let add_httpd_fast t ?(port = 80) ?rtc content =
+  per_core t (fun ~clock ~sched ~stack ~alloc ~core ->
+      Httpd.create_fast ~clock ~sched ~stack ~alloc ~port ~core ?rtc content)
 
 let run_httpd_load t ?(port = 80) ?(connections_per_core = 8) ?(requests_per_core = 4000)
     ?path () =
   let agg = Wrk.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Wrk.spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~requests:requests_per_core ?path
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Wrk.result_of_agg agg ~t_start:start
-
-let add_httpd_fast t ?(port = 80) ?rtc content =
-  Array.init t.n (fun i ->
-      Httpd.create_fast
-        ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-        ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-        ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i ?rtc content)
+  let t_start =
+    drive t ~port ~connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        Wrk.spawn ~clock ~sched ~stack ~server ~connections:connections_per_core
+          ~requests:requests_per_core ?path ~port_for ~agg ())
+  in
+  Wrk.result_of_agg agg ~t_start
 
 let run_httpd_load_fast t ?(port = 80) ?(connections_per_core = 8)
     ?(requests_per_core = 4000) ?path ?pipeline () =
   let agg = Wrk.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Wrk.spawn_fast
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~requests:requests_per_core ?path ?pipeline
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Wrk.result_of_agg agg ~t_start:start
+  let t_start =
+    drive t ~port ~connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        Wrk.spawn_fast ~clock ~sched ~stack ~server ~connections:connections_per_core
+          ~requests:requests_per_core ?path ?pipeline ~port_for ~agg ())
+  in
+  Wrk.result_of_agg agg ~t_start
 
 (* --- RESP store ----------------------------------------------------------- *)
 
-let add_resp t ?(port = 6379) ?(populate = 0) () =
+(* One worker per core over one shared database, pre-populated (key
+   pattern matches Resp_bench's) through worker 0 so GET workloads
+   measure hits. *)
+let add_resp_with mk t ?port ?(populate = 0) () =
+  let first = ref None in
   let workers =
-    let first = ref None in
-    Array.init t.n (fun i ->
+    per_core t (fun ~clock ~sched ~stack ~alloc ~core ->
         let w =
-          Resp_store.create
-            ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-            ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-            ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i
-            ?share_with:!first ()
-        in
-        if !first = None then first := Some w;
-        w)
-  in
-  (* Pre-populate the shared database (key pattern matches Resp_bench's)
-     through worker 0 so GET workloads measure hits. *)
-  for k = 0 to populate - 1 do
-    ignore (Resp_store.execute workers.(0) [ "SET"; Printf.sprintf "key:%06d" k; "xxx" ])
-  done;
-  workers
-
-let add_resp_fast t ?(port = 6379) ?(populate = 0) ?rtc () =
-  let workers =
-    let first = ref None in
-    Array.init t.n (fun i ->
-        let w =
-          Resp_store.create_fast
-            ~clock:(Uksmp.Smp.clock_of t.smp ~core:i)
-            ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-            ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i
-            ?share_with:!first ?rtc ()
+          mk ~clock ~sched ~stack ~alloc ?port ?core:(Some core) ?share_with:!first
+            ?persist:None ()
         in
         if !first = None then first := Some w;
         w)
@@ -281,33 +262,32 @@ let add_resp_fast t ?(port = 6379) ?(populate = 0) ?rtc () =
   done;
   workers
 
-let run_resp_load_fast t ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
+let add_resp t = add_resp_with Resp_store.create t
+let add_resp_fast t ?port ?populate ?rtc () =
+  add_resp_with (Resp_store.create_fast ?rtc) t ?port ?populate ()
+
+let run_resp_load_with ~fast t ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
     ?(requests_per_core = 10_000) workload =
   let agg = Resp_bench.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Resp_bench.spawn_fast
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~pipeline ~requests:requests_per_core
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg workload
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Resp_bench.result_of_agg agg ~t_start:start
+  let spawn = if fast then Resp_bench.spawn_fast else Resp_bench.spawn in
+  let t_start =
+    drive t ~port ~connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        spawn ~clock ~sched ~stack ~server ~connections:connections_per_core ~pipeline
+          ~requests:requests_per_core ~port_for ~agg workload)
+  in
+  Resp_bench.result_of_agg agg ~t_start
+
+let run_resp_load t = run_resp_load_with ~fast:false t
+let run_resp_load_fast t = run_resp_load_with ~fast:true t
 
 (* --- inference ------------------------------------------------------------- *)
 
 (* Per-core model serving: each server core gets its own virtio-blk
    store, weight file, vfs mount and admission queue (the replicated-
    image deployment — no cross-core weight sharing to serialize on). *)
-let add_infer_with mk t ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns () =
-  Array.init t.n (fun i ->
-      let clock = Uksmp.Smp.clock_of t.smp ~core:i in
-      let engine = Uksmp.Smp.engine_of t.smp ~core:i in
+let add_infer_with mk t ?port ?(size_mb = 4) ?max_batch ?max_wait_ns () =
+  per_core t (fun ~clock ~sched ~stack ~alloc ~core ->
+      let engine = Uksmp.Smp.engine_of t.smp ~core in
       let dev =
         Ukblock.Virtio_blk.create ~clock ~engine
           ~capacity_sectors:((size_mb + 2) * 2048) ()
@@ -322,146 +302,59 @@ let add_infer_with mk t ?(port = 8000) ?(size_mb = 4) ?max_batch ?max_wait_ns ()
         | Ok m -> m
         | Error e -> invalid_arg ("Cluster.add_infer: " ^ e)
       in
-      mk ~clock ~engine
-        ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-        ~stack:t.server_stacks.(i) ~alloc:t.allocs.(i) ~port ~core:i ?max_batch
+      mk ~clock ~engine ~sched ~stack ~alloc ?port ?core:(Some core) ?max_batch
         ?max_wait_ns ~model ())
 
-let add_infer t ?port ?size_mb ?max_batch ?max_wait_ns () =
-  add_infer_with
-    (fun ~clock ~engine ~sched ~stack ~alloc ~port ~core ?max_batch ?max_wait_ns ~model () ->
-      Infer.create ~clock ~engine ~sched ~stack ~alloc ~port ~core ?max_batch
-        ?max_wait_ns ~model ())
-    t ?port ?size_mb ?max_batch ?max_wait_ns ()
+let add_infer = add_infer_with Infer.create
+let add_infer_fast = add_infer_with Infer.create_fast
 
-let add_infer_fast t ?port ?size_mb ?rtc ?max_batch ?max_wait_ns () =
-  add_infer_with
-    (fun ~clock ~engine ~sched ~stack ~alloc ~port ~core ?max_batch ?max_wait_ns ~model () ->
-      Infer.create_fast ~clock ~engine ~sched ~stack ~alloc ~port ~core ?rtc ?max_batch
-        ?max_wait_ns ~model ())
-    t ?port ?size_mb ?max_batch ?max_wait_ns ()
-
-let run_infer_load_with spawn t ?(port = 8000) ?(connections_per_core = 8)
+let run_infer_load_with ~fast t ?(port = 8000) ?(connections_per_core = 8)
     ?(requests_per_core = 4000) ?pipeline ?width () =
-  let agg = Infer.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ?pipeline ~requests:requests_per_core ?width
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Infer.result_of_agg agg ~t_start:start
+  let agg = Lineserv.new_agg () in
+  let spawn = if fast then Infer.spawn_load_fast else Infer.spawn_load in
+  let t_start =
+    drive t ~port ~connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        spawn ~clock ~sched ~stack ~server ~connections:connections_per_core ?pipeline
+          ~requests:requests_per_core ?width ~port_for ~agg ())
+  in
+  Lineserv.result_of_agg agg ~t_start
 
-let run_infer_load t =
-  run_infer_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?width ~port_for
-         ~agg () ->
-      Infer.spawn_load ~clock ~sched ~stack ~server ~connections ?pipeline ~requests
-        ?width ~port_for ~agg ())
-    t
-
-let run_infer_load_fast t =
-  run_infer_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?width ~port_for
-         ~agg () ->
-      Infer.spawn_load_fast ~clock ~sched ~stack ~server ~connections ?pipeline
-        ~requests ?width ~port_for ~agg ())
-    t
+let run_infer_load t = run_infer_load_with ~fast:false t
+let run_infer_load_fast t = run_infer_load_with ~fast:true t
 
 (* --- merkle store ----------------------------------------------------------- *)
 
 (* Per-core store serving: each server core owns a virtio-blk device
    formatted as a ukstore, pre-populated and committed before the load
    starts (the fleet image's disk prep, replicated per core). *)
-let add_store_with mk t ?(port = 7000) ?(keys = 256) ?(journal_sectors = 512)
+let add_store_with mk t ?port ?(keys = 256) ?(journal_sectors = 512)
     ?commit_every () =
-  Array.init t.n (fun i ->
-      let clock = Uksmp.Smp.clock_of t.smp ~core:i in
-      let engine = Uksmp.Smp.engine_of t.smp ~core:i in
-      let dev =
-        Ukblock.Virtio_blk.create ~clock ~engine ~capacity_sectors:32768 ()
-      in
+  per_core t (fun ~clock ~sched ~stack ~alloc:_ ~core ->
+      let engine = Uksmp.Smp.engine_of t.smp ~core in
+      let dev = Ukblock.Virtio_blk.create ~clock ~engine ~capacity_sectors:32768 () in
       let store =
         match Ukstore.Store.format ~clock ~journal_sectors dev with
         | Ok s -> s
         | Error e -> invalid_arg ("Cluster.add_store: " ^ Ukvfs.Fs.errno_to_string e)
       in
-      let srv =
-        mk ~clock
-          ~sched:(Uksmp.Smp.sched_of t.smp ~core:i)
-          ~stack:t.server_stacks.(i) ~port ~core:i ?commit_every ~store ()
-      in
+      let srv = mk ~clock ~sched ~stack ?port ?core:(Some core) ?commit_every ~store () in
       Store.populate srv keys;
       srv)
 
-let add_store t ?port ?keys ?journal_sectors ?commit_every () =
-  add_store_with
-    (fun ~clock ~sched ~stack ~port ~core ?commit_every ~store () ->
-      Store.create ~clock ~sched ~stack ~port ~core ?commit_every ~store ())
-    t ?port ?keys ?journal_sectors ?commit_every ()
+let add_store = add_store_with Store.create
+let add_store_fast = add_store_with Store.create_fast
 
-let add_store_fast t ?port ?keys ?journal_sectors ?rtc ?commit_every () =
-  add_store_with
-    (fun ~clock ~sched ~stack ~port ~core ?commit_every ~store () ->
-      Store.create_fast ~clock ~sched ~stack ~port ~core ?rtc ?commit_every ~store ())
-    t ?port ?keys ?journal_sectors ?commit_every ()
-
-let run_store_load_with spawn t ?(port = 7000) ?(connections_per_core = 8)
+let run_store_load_with ~fast t ?(port = 7000) ?(connections_per_core = 8)
     ?(requests_per_core = 4000) ?pipeline ?write_frac ?keyspace ?commit_every ?seed () =
-  let agg = Store.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ?pipeline ~requests:requests_per_core
-      ?write_frac ?keyspace ?commit_every ?seed
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg ()
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Store.result_of_agg agg ~t_start:start
+  let agg = Lineserv.new_agg () in
+  let spawn = if fast then Store.spawn_load_fast else Store.spawn_load in
+  let t_start =
+    drive t ~port ~connections_per_core (fun ~clock ~sched ~stack ~server ~port_for ->
+        spawn ~clock ~sched ~stack ~server ~connections:connections_per_core ?pipeline
+          ~requests:requests_per_core ?write_frac ?keyspace ?commit_every ?seed ~port_for
+          ~agg ())
+  in
+  Lineserv.result_of_agg agg ~t_start
 
-let run_store_load t =
-  run_store_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?write_frac
-         ?keyspace ?commit_every ?seed ~port_for ~agg () ->
-      Store.spawn_load ~clock ~sched ~stack ~server ~connections ?pipeline ~requests
-        ?write_frac ?keyspace ?commit_every ?seed ~port_for ~agg ())
-    t
-
-let run_store_load_fast t =
-  run_store_load_with
-    (fun ~clock ~sched ~stack ~server ~connections ?pipeline ~requests ?write_frac
-         ?keyspace ?commit_every ?seed ~port_for ~agg () ->
-      Store.spawn_load_fast ~clock ~sched ~stack ~server ~connections ?pipeline
-        ~requests ?write_frac ?keyspace ?commit_every ?seed ~port_for ~agg ())
-    t
-
-let run_resp_load t ?(port = 6379) ?(connections_per_core = 8) ?(pipeline = 16)
-    ?(requests_per_core = 10_000) workload =
-  let agg = Resp_bench.new_agg () in
-  let ports = steered_ports t ~dport:port ~per_core:connections_per_core in
-  for j = 0 to t.n - 1 do
-    let core = t.n + j in
-    Resp_bench.spawn
-      ~clock:(Uksmp.Smp.clock_of t.smp ~core)
-      ~sched:(Uksmp.Smp.sched_of t.smp ~core)
-      ~stack:t.client_stacks.(j) ~server:(server_ip, port)
-      ~connections:connections_per_core ~pipeline ~requests:requests_per_core
-      ~port_for:(fun ci -> Some ports.(j).(ci))
-      ~agg workload
-  done;
-  let start = t_start t in
-  Uksmp.Smp.run t.smp;
-  Resp_bench.result_of_agg agg ~t_start:start
+let run_store_load t = run_store_load_with ~fast:false t
+let run_store_load_fast t = run_store_load_with ~fast:true t

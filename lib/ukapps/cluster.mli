@@ -132,7 +132,6 @@ val add_infer_fast :
   t ->
   ?port:int ->
   ?size_mb:int ->
-  ?rtc:bool ->
   ?max_batch:int ->
   ?max_wait_ns:float ->
   unit ->
@@ -180,7 +179,6 @@ val add_store_fast :
   ?port:int ->
   ?keys:int ->
   ?journal_sectors:int ->
-  ?rtc:bool ->
   ?commit_every:int ->
   unit ->
   Store.t array

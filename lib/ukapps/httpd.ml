@@ -1,5 +1,3 @@
-module S = Uknetstack.Stack
-
 type content =
   | In_memory of (string * string) list
   | Via_vfs of Ukvfs.Vfs.t
@@ -7,10 +5,10 @@ type content =
 
 type stats = { requests : int; errors_404 : int; errors_503 : int; bytes_sent : int }
 
+let zero_stats = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 }
+
 type t = {
   clock : Uksim.Clock.t;
-  sched : Uksched.Sched.t;
-  stack : S.t;
   alloc : Ukalloc.Alloc.t;
   content : content;
   core : int; (* tracepoint lane; the owning core under SMP *)
@@ -79,6 +77,23 @@ let parse_request line =
   | [ "GET"; path; _version ] -> Some path
   | _ -> None
 
+(* Both builds answer a parsed path the same way; [copy] charges the
+   socket build's materialization of the body. *)
+let route t ~copy = function
+  | None -> response ~status:"400 Bad Request" ~body:"bad request"
+  | Some path -> (
+      match lookup t path with
+      | Some body ->
+          if copy then charge t (Uksim.Cost.memcpy (String.length body));
+          response ~status:"200 OK" ~body
+      | None ->
+          t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
+          response ~status:"404 Not Found" ~body:"not found")
+
+let count_sent t reply =
+  t.st <-
+    { t.st with requests = t.st.requests + 1; bytes_sent = t.st.bytes_sent + String.length reply }
+
 let rec handle_request t req_line =
   Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
     "http_request" (fun () -> handle_request_untraced t req_line)
@@ -94,64 +109,14 @@ and handle_request_untraced t req_line =
            it half-built (degraded mode). *)
         t.st <- { t.st with errors_503 = t.st.errors_503 + 1 };
         response ~status:"503 Service Unavailable" ~body:"overloaded"
-    | Some _ -> (
-        match parse_request req_line with
-        | None -> response ~status:"400 Bad Request" ~body:"bad request"
-        | Some path -> (
-            match lookup t path with
-            | Some body ->
-                charge t (Uksim.Cost.memcpy (String.length body));
-                response ~status:"200 OK" ~body
-            | None ->
-                t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
-                response ~status:"404 Not Found" ~body:"not found"))
+    | Some _ -> route t ~copy:true (parse_request req_line)
   in
   charge t respond_cost;
   (match pool with Some addr -> Ukalloc.Alloc.uk_free t.alloc addr | None -> ());
-  t.st <- { t.st with requests = t.st.requests + 1; bytes_sent = t.st.bytes_sent + String.length reply };
+  count_sent t reply;
   reply
 
-let handle_connection t flow =
-  let acc = Buffer.create 512 in
-  let rec serve () =
-    match S.Tcp_socket.recv ~block:true t.stack flow ~max:16384 with
-    | None -> S.Tcp_socket.close t.stack flow
-    | Some data ->
-        Buffer.add_bytes acc data;
-        let s = Buffer.contents acc in
-        (* Handle every complete request (terminated by CRLFCRLF); the
-           scan cursor is distinct from the unconsumed-request start. *)
-        let rec split_requests req_start scan acc_out =
-          match String.index_from_opt s scan '\r' with
-          | Some i when i + 3 < String.length s && String.sub s i 4 = "\r\n\r\n" ->
-              let req = String.sub s req_start (i - req_start) in
-              let first_line =
-                match String.index_opt req '\r' with
-                | Some j -> String.sub req 0 j
-                | None -> req
-              in
-              split_requests (i + 4) (i + 4) (first_line :: acc_out)
-          | Some i -> split_requests req_start (i + 1) acc_out
-          | None -> (req_start, List.rev acc_out)
-        in
-        let consumed, requests = split_requests 0 0 [] in
-        if consumed > 0 then begin
-          let rest = String.sub s consumed (String.length s - consumed) in
-          Buffer.clear acc;
-          Buffer.add_string acc rest
-        end;
-        let out = Buffer.create 1024 in
-        List.iter (fun line -> Buffer.add_string out (handle_request t line)) requests;
-        if Buffer.length out > 0 then
-          ignore (S.Tcp_socket.send ~block:true t.stack flow (Buffer.to_bytes out));
-        serve ()
-  in
-  serve ()
-
 (* --- zero-copy run-to-completion fast path (the paper's Fig 14 port) ------ *)
-
-module Nb = Uknetdev.Netbuf
-module Tcp = Uknetstack.Tcp
 
 (* Specialized request handling: the request line is parsed in place in
    the driver's ring buffer (no per-request pool, no header
@@ -183,84 +148,41 @@ let parse_fast buf rs limit =
     | Some _ | None -> None
   else None
 
-let fast_reply t w buf rs re =
+let fast_reply t c buf rs line_end =
   Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
     "http_request_fast" (fun () ->
       charge t fast_parse_cost;
-      let line_end =
-        match Bytes.index_from_opt buf rs '\r' with
-        | Some i when i < re -> i
-        | Some _ | None -> re
-      in
-      let reply =
-        match parse_fast buf rs line_end with
-        | None -> response ~status:"400 Bad Request" ~body:"bad request"
-        | Some path -> (
-            match lookup t path with
-            | Some body -> response ~status:"200 OK" ~body
-            | None ->
-                t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
-                response ~status:"404 Not Found" ~body:"not found")
-      in
+      let reply = route t ~copy:false (parse_fast buf rs line_end) in
       charge t fast_respond_cost;
-      Nbio.add w reply;
-      t.st <-
-        { t.st with
-          requests = t.st.requests + 1;
-          bytes_sent = t.st.bytes_sent + String.length reply })
+      Lineserv.reply c reply;
+      count_sent t reply)
 
-(* Scan [buf[off, off+len)] for complete requests; returns bytes consumed. *)
-let fast_scan t w buf off len =
+(* --- the two builds ------------------------------------------------------- *)
+
+(* Hand every complete request (terminated by CRLFCRLF) in
+   [buf[off, off+len)] to [serve c buf rs line_end], where [line_end]
+   ends its request line; returns bytes consumed. *)
+let scan_requests serve c buf off len =
   let limit = off + len in
   let rec go rs =
     match find_reqend buf rs limit with
     | Some re ->
-        fast_reply t w buf rs re;
+        let line_end =
+          match Bytes.index_from_opt buf rs '\r' with
+          | Some i when i < re -> i
+          | Some _ | None -> re
+        in
+        serve c buf rs line_end;
         go re
     | None -> rs - off
   in
   go off
 
-(* Stash path: a request straddled a segment boundary, so this connection
-   temporarily falls back to materialized bytes (one counted copy per
-   stashed segment) until the pipeline realigns. *)
-let stash_drain t w stash =
-  let s = Buffer.contents stash in
-  let b = Bytes.unsafe_of_string s in
-  let consumed = fast_scan t w b 0 (String.length s) in
-  if consumed > 0 then begin
-    let rest = String.sub s consumed (String.length s - consumed) in
-    Buffer.clear stash;
-    Buffer.add_string stash rest
-  end
-
-let fast_on_data t flow stash nb =
-  let w = Nbio.writer ~clock:t.clock ~stack:t.stack ~flow in
-  (if Buffer.length stash = 0 then begin
-     let buf, off, len = Nb.view nb in
-     let consumed = fast_scan t w buf off len in
-     if consumed < len then begin
-       Nb.pull nb consumed;
-       Buffer.add_bytes stash (Nb.copy_out nb)
-     end;
-     Nb.recycle nb
-   end
-   else begin
-     Buffer.add_bytes stash (Nb.copy_out nb);
-     Nb.recycle nb;
-     stash_drain t w stash
-   end);
-  Nbio.flush w
-
-let create_fast ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) ?(rtc = true) content =
-  let t =
-    { clock; sched; stack; alloc; content; core;
-      st = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 } }
-  in
+let mk ~clock ~alloc ~core content =
+  let t = { clock; alloc; content; core; st = zero_stats } in
   Uktrace.Registry.register
     (Uktrace.Source.make ~subsystem:"ukapps" ~name:"httpd"
-       ~reset:(fun () ->
-         t.st <- { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 })
+       ~reset:(fun () -> t.st <- zero_stats)
        (fun () ->
          [
            ("requests", Uktrace.Metric.Count t.st.requests);
@@ -268,72 +190,19 @@ let create_fast ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) ?(rtc = tru
            ("errors_503", Uktrace.Metric.Count t.st.errors_503);
            ("bytes_sent", Uktrace.Metric.Count t.st.bytes_sent);
          ]));
-  let l = S.Tcp_socket.listen stack ~port () in
-  let dispatch =
-    if rtc then fun job -> job ()
-    else begin
-      (* Ablation: instead of running to completion inside packet
-         processing, hop through a pinned worker thread — the classic
-         softirq-to-server handoff the fast path removes. *)
-      let q : (unit -> unit) Queue.t = Queue.create () in
-      let wtid =
-        Uksched.Sched.spawn sched ~name:"httpd-fast-worker" ~daemon:true ~pinned:true
-          (fun () ->
-            let rec loop () =
-              (match Queue.take_opt q with
-              | Some job -> job ()
-              | None -> Uksched.Sched.block ());
-              loop ()
-            in
-            loop ())
-      in
-      fun job ->
-        Queue.push job q;
-        Uksched.Sched.wake sched wtid
-    end
-  in
-  S.Tcp_socket.set_fast_accept l
-    (Some
-       (fun flow ->
-         let stash = Buffer.create 64 in
-         Tcp.set_rx_sink flow (Some (fun nb -> dispatch (fun () -> fast_on_data t flow stash nb)))));
   t
 
 let create ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) content =
-  let t =
-    { clock; sched; stack; alloc; content; core;
-      st = { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 } }
-  in
-  Uktrace.Registry.register
-    (Uktrace.Source.make ~subsystem:"ukapps" ~name:"httpd"
-       ~reset:(fun () ->
-         t.st <- { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 })
-       (fun () ->
-         [
-           ("requests", Uktrace.Metric.Count t.st.requests);
-           ("errors_404", Uktrace.Metric.Count t.st.errors_404);
-           ("errors_503", Uktrace.Metric.Count t.st.errors_503);
-           ("bytes_sent", Uktrace.Metric.Count t.st.bytes_sent);
-         ]));
-  (* Listen synchronously so the port is open before any other core's
-     virtual time reaches a connect (see the Resp_store note). *)
-  let l = S.Tcp_socket.listen stack ~port () in
-  let _ =
-    (* Pinned: server threads charge this instance's clock and stack, so
-       work stealing must not migrate them to another core. *)
-    Uksched.Sched.spawn sched ~name:"httpd-accept" ~daemon:true ~pinned:true (fun () ->
-        let rec loop () =
-          match S.Tcp_socket.accept ~block:true l with
-          | Some flow ->
-              let _ =
-                Uksched.Sched.spawn sched ~name:"httpd-conn" ~daemon:true ~pinned:true
-                  (fun () -> handle_connection t flow)
-              in
-              loop ()
-          | None -> loop ()
-        in
-        loop ())
-  in
+  let t = mk ~clock ~alloc ~core content in
+  Lineserv.serve ~sched ~stack ~port ~name:"httpd"
+    (scan_requests (fun c buf rs line_end ->
+         Lineserv.reply c (handle_request t (Bytes.sub_string buf rs (line_end - rs)))));
+  t
+
+let create_fast ~clock ~sched ~stack ~alloc ?(port = 80) ?(core = 0) ?(rtc = true) content =
+  let t = mk ~clock ~alloc ~core content in
+  Lineserv.serve_fast ~clock ~sched ~stack ~port ~name:"httpd" ~rtc
+    (scan_requests (fast_reply t));
   t
 
 let stats t = t.st
@@ -347,5 +216,4 @@ let sum_stats ts =
         errors_503 = acc.errors_503 + t.st.errors_503;
         bytes_sent = acc.bytes_sent + t.st.bytes_sent;
       })
-    { requests = 0; errors_404 = 0; errors_503 = 0; bytes_sent = 0 }
-    ts
+    zero_stats ts

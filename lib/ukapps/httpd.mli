@@ -33,9 +33,9 @@ val create :
   ?core:int ->
   content ->
   t
-(** Spawns the accept thread (daemon, pinned to [sched]'s core); port
-    defaults to 80. Multi-worker SMP mode: create one instance per core,
-    each on its own per-core stack/clock/alloc view — RSS then spreads
+(** Serves through {!Lineserv.serve} (threads pinned to [sched]'s core);
+    port defaults to 80. Multi-worker SMP mode: create one instance per
+    core, each on its own per-core stack/clock/alloc view — RSS spreads
     connections across them like SO_REUSEPORT sharding. [core] (default 0)
     labels this worker's tracepoints; stats also register as an
     ["ukapps.httpd"] {!Uktrace.Registry} source. *)
@@ -56,9 +56,8 @@ val create_fast :
     pool netbufs ({!Nbio}) handed down TX by ownership — the hot path
     makes no counted payload copies. Handlers run inside packet processing
     on the receiving core; [rtc:false] ablates that by hopping each
-    request through a pinned worker thread. Requests that straddle a
-    segment fall back to a counted-copy stash until the pipeline
-    realigns. *)
+    segment through a pinned worker thread. Straddling requests fall back
+    to {!Lineserv.serve_fast}'s counted-copy stash. *)
 
 val stats : t -> stats
 

@@ -107,16 +107,14 @@ val create_fast :
   alloc:Ukalloc.Alloc.t ->
   ?port:int ->
   ?core:int ->
-  ?rtc:bool ->
   ?max_batch:int ->
   ?max_wait_ns:float ->
   model:model ->
   unit ->
   t
-(** Zero-copy port: requests are scanned in place in ring netbufs
-    ({!Uknetstack.Tcp.set_rx_sink}), replies leave through {!Nbio}
-    writers. [rtc:false] ablates run-to-completion (requests hop through
-    a pinned worker thread). *)
+(** Zero-copy port over {!Lineserv.serve_fast}: requests are scanned in
+    place in ring netbufs ({!Uknetstack.Tcp.set_rx_sink}), replies leave
+    through {!Nbio} writers, one flush per reply. *)
 
 val submit : t -> rid:int -> width:int -> reply:(string -> unit) -> unit
 (** Enqueue one request directly (bypassing the network) — the unit-test
@@ -150,7 +148,7 @@ val reply_len : int
 
 (** {1 Load generation} *)
 
-type result = {
+type result = Lineserv.result = {
   requests : int;
   elapsed_ns : float;
   rate_per_sec : float;
@@ -159,11 +157,6 @@ type result = {
   p99_us : float;
   errors : int;
 }
-
-type agg
-(** Shared aggregator for SMP runs — see {!Wrk.agg}. *)
-
-val new_agg : unit -> agg
 
 val spawn_load :
   clock:Uksim.Clock.t ->
@@ -175,7 +168,7 @@ val spawn_load :
   ?requests:int ->
   ?width:int ->
   ?port_for:(int -> int option) ->
-  agg:agg ->
+  agg:Lineserv.agg ->
   unit ->
   unit
 (** Legacy client: [connections] (default 16) flows each issuing
@@ -193,13 +186,11 @@ val spawn_load_fast :
   ?requests:int ->
   ?width:int ->
   ?port_for:(int -> int option) ->
-  agg:agg ->
+  agg:Lineserv.agg ->
   unit ->
   unit
 (** Zero-copy client: requests leave through an {!Nbio} writer, replies
     are counted in place by fixed-size arithmetic over the rx sink. *)
-
-val result_of_agg : agg -> t_start:float -> result
 
 val run_load :
   clock:Uksim.Clock.t ->

@@ -62,7 +62,8 @@ module Parser = struct
               | Some -1 -> Null
               | Some n when n >= 0 ->
                   let s = Buffer.contents t.buf in
-                  if String.length s < t.pos + n + 2 then raise Incomplete
+                  (* [t.pos + n + 2] would wrap for lengths near max_int. *)
+                  if n > String.length s - t.pos - 2 then raise Incomplete
                   else begin
                     let v = String.sub s t.pos n in
                     if not (s.[t.pos + n] = '\r' && s.[t.pos + n + 1] = '\n') then

@@ -1,4 +1,3 @@
-module S = Uknetstack.Stack
 module St = Ukstore.Store
 
 type entry = { addr : int; value : string }
@@ -7,8 +6,6 @@ type stats = { commands : int; hits : int; misses : int }
 
 type t = {
   clock : Uksim.Clock.t;
-  sched : Uksched.Sched.t;
-  stack : S.t;
   alloc : Ukalloc.Alloc.t;
   table : (string, entry) Hashtbl.t;
   lists : (string, string list ref) Hashtbl.t;
@@ -73,6 +70,64 @@ let with_cmd_objects t args f =
   List.iter (Ukalloc.Alloc.uk_free t.alloc) held;
   r
 
+(* The hot commands' bodies, shared by the generic engine and the fast
+   path's specialized dispatch. *)
+let cmd_get t key =
+  charge t hash_cost;
+  match Hashtbl.find_opt t.table key with
+  | Some e ->
+      t.hits <- t.hits + 1;
+      charge t (Uksim.Cost.memcpy (String.length e.value));
+      Resp.Bulk e.value
+  | None ->
+      t.misses <- t.misses + 1;
+      Resp.Null
+
+let cmd_set t key value =
+  charge t hash_cost;
+  match store_bytes t value with
+  | None -> Resp.Error "OOM command not allowed when used memory > 'maxmemory'"
+  | Some e ->
+      (match Hashtbl.find_opt t.table key with Some old -> drop_entry t old | None -> ());
+      Hashtbl.replace t.table key e;
+      persist_set t key value;
+      Resp.Simple "OK"
+
+let cmd_del t keys =
+  charge t (hash_cost * List.length keys);
+  let n =
+    List.fold_left
+      (fun acc key ->
+        match Hashtbl.find_opt t.table key with
+        | Some e ->
+            drop_entry t e;
+            Hashtbl.remove t.table key;
+            persist_del t key;
+            acc + 1
+        | None -> acc)
+      0 keys
+  in
+  Resp.Integer n
+
+let cmd_incr t key =
+  charge t hash_cost;
+  let cur =
+    match Hashtbl.find_opt t.table key with
+    | Some e -> int_of_string_opt e.value
+    | None -> Some 0
+  in
+  match cur with
+  | None -> Resp.Error "ERR value is not an integer or out of range"
+  | Some v -> (
+      let s = string_of_int (v + 1) in
+      match store_bytes t s with
+      | None -> Resp.Error "OOM"
+      | Some e ->
+          (match Hashtbl.find_opt t.table key with Some old -> drop_entry t old | None -> ());
+          Hashtbl.replace t.table key e;
+          persist_set t key s;
+          Resp.Integer (v + 1))
+
 let rec execute t args =
   Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
     "resp_command" (fun () -> execute_untraced t args)
@@ -88,65 +143,13 @@ and execute_untraced t args =
       match (upper cmd, rest) with
       | "PING", [] -> Resp.Simple "PONG"
       | "PING", [ msg ] -> Resp.Bulk msg
-      | "SET", [ key; value ] -> (
-          charge t hash_cost;
-          match store_bytes t value with
-          | None -> Resp.Error "OOM command not allowed when used memory > 'maxmemory'"
-          | Some e ->
-              (match Hashtbl.find_opt t.table key with
-              | Some old -> drop_entry t old
-              | None -> ());
-              Hashtbl.replace t.table key e;
-              persist_set t key value;
-              Resp.Simple "OK")
-      | "GET", [ key ] -> (
-          charge t hash_cost;
-          match Hashtbl.find_opt t.table key with
-          | Some e ->
-              t.hits <- t.hits + 1;
-              charge t (Uksim.Cost.memcpy (String.length e.value));
-              Resp.Bulk e.value
-          | None ->
-              t.misses <- t.misses + 1;
-              Resp.Null)
-      | "DEL", keys ->
-          charge t (hash_cost * List.length keys);
-          let n =
-            List.fold_left
-              (fun acc key ->
-                match Hashtbl.find_opt t.table key with
-                | Some e ->
-                    drop_entry t e;
-                    Hashtbl.remove t.table key;
-                    persist_del t key;
-                    acc + 1
-                | None -> acc)
-              0 keys
-          in
-          Resp.Integer n
+      | "SET", [ key; value ] -> cmd_set t key value
+      | "GET", [ key ] -> cmd_get t key
+      | "DEL", keys -> cmd_del t keys
       | "EXISTS", [ key ] ->
           charge t hash_cost;
           Resp.Integer (if Hashtbl.mem t.table key then 1 else 0)
-      | "INCR", [ key ] -> (
-          charge t hash_cost;
-          let cur =
-            match Hashtbl.find_opt t.table key with
-            | Some e -> int_of_string_opt e.value
-            | None -> Some 0
-          in
-          match cur with
-          | None -> Resp.Error "ERR value is not an integer or out of range"
-          | Some v -> (
-              let s = string_of_int (v + 1) in
-              match store_bytes t s with
-              | None -> Resp.Error "OOM"
-              | Some e ->
-                  (match Hashtbl.find_opt t.table key with
-                  | Some old -> drop_entry t old
-                  | None -> ());
-                  Hashtbl.replace t.table key e;
-                  persist_set t key s;
-                  Resp.Integer (v + 1)))
+      | "INCR", [ key ] -> cmd_incr t key
       | "LPUSH", key :: values when values <> [] ->
           charge t hash_cost;
           let l =
@@ -191,42 +194,28 @@ let value_of_command = function
       if List.length strings = List.length parts then Some strings else None
   | _ -> None
 
-let handle_connection t flow =
+(* Socket path: [Resp.Parser] keeps its own framing buffer. *)
+let on_stream t () =
   let parser = Resp.Parser.create () in
-  let out = Buffer.create 1024 in
-  let rec serve () =
-    match S.Tcp_socket.recv ~block:true t.stack flow ~max:16384 with
-    | None -> S.Tcp_socket.close t.stack flow
-    | Some data ->
-        if Bytes.length data > 0 then begin
-          Resp.Parser.feed parser data;
-          Buffer.clear out;
-          let rec drain () =
-            match Resp.Parser.next parser with
-            | Ok (Some v) ->
-                let reply =
-                  match value_of_command v with
-                  | Some args -> execute t args
-                  | None -> Resp.Error "ERR protocol error"
-                in
-                Buffer.add_string out (Resp.encode reply);
-                drain ()
-            | Ok None -> ()
-            | Error e ->
-                Buffer.add_string out (Resp.encode (Resp.Error ("ERR " ^ e)))
+  fun c data ->
+    Resp.Parser.feed parser data;
+    let rec drain () =
+      match Resp.Parser.next parser with
+      | Ok (Some v) ->
+          let reply =
+            match value_of_command v with
+            | Some args -> execute t args
+            | None -> Resp.Error "ERR protocol error"
           in
-          drain ();
-          if Buffer.length out > 0 then
-            ignore (S.Tcp_socket.send ~block:true t.stack flow (Buffer.to_bytes out))
-        end;
-        serve ()
-  in
-  serve ()
+          Lineserv.reply c (Resp.encode reply);
+          drain ()
+      | Ok None -> ()
+      | Error e -> Lineserv.reply c (Resp.encode (Resp.Error ("ERR " ^ e)))
+    in
+    drain ();
+    true
 
 (* --- zero-copy run-to-completion fast path -------------------------------- *)
-
-module Nb = Uknetdev.Netbuf
-module Tcp = Uknetstack.Tcp
 
 (* Specialized dispatch for the hot commands: no robj churn, no generic
    command table, no reply buffering — the in-place parser feeds a direct
@@ -265,12 +254,17 @@ let parse_cmd buf pos limit =
         let p = ref (e + 2) in
         let args = ref [] in
         for _ = 1 to n do
-          if !p >= limit || Bytes.get buf !p <> '$' then raise Bad;
+          if !p >= limit then raise Incomplete;
+          if Bytes.get buf !p <> '$' then raise Bad;
           let e = line !p in
           let len = int_at (!p + 1) e in
           if len < 0 then raise Bad;
           let s = e + 2 in
-          if s + len + 2 > limit then raise Incomplete;
+          (* A bulk over the connection's unconsumed-byte bound can
+             never complete. Compare against the room left: [s + len + 2]
+             wraps for lengths near max_int. *)
+          if len > Lineserv.max_pending then raise Bad;
+          if len > limit - s - 2 then raise Incomplete;
           if not (Bytes.get buf (s + len) = '\r' && Bytes.get buf (s + len + 1) = '\n') then
             raise Bad;
           args := Bytes.sub_string buf s len :: !args;
@@ -283,69 +277,32 @@ let parse_cmd buf pos limit =
   | Incomplete -> Error `Incomplete
   | Bad -> Error `Bad
 
-let execute_fast t args =
+let fast_hit t =
   t.commands <- t.commands + 1;
-  charge t fast_cmd_cost;
+  charge t fast_cmd_cost
+
+(* Cold commands go through the generic engine. *)
+let execute_fast t args =
   match args with
-  | [ g; key ] when g = "GET" || g = "get" -> (
-      charge t hash_cost;
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-          t.hits <- t.hits + 1;
-          charge t (Uksim.Cost.memcpy (String.length e.value));
-          Resp.Bulk e.value
-      | None ->
-          t.misses <- t.misses + 1;
-          Resp.Null)
-  | [ s; key; value ] when s = "SET" || s = "set" -> (
-      charge t hash_cost;
-      match store_bytes t value with
-      | None -> Resp.Error "OOM command not allowed when used memory > 'maxmemory'"
-      | Some e ->
-          (match Hashtbl.find_opt t.table key with
-          | Some old -> drop_entry t old
-          | None -> ());
-          Hashtbl.replace t.table key e;
-          persist_set t key value;
-          Resp.Simple "OK")
-  | [ p ] when p = "PING" || p = "ping" -> Resp.Simple "PONG"
-  | [ d; key ] when d = "DEL" || d = "del" -> (
-      charge t hash_cost;
-      match Hashtbl.find_opt t.table key with
-      | Some e ->
-          drop_entry t e;
-          Hashtbl.remove t.table key;
-          persist_del t key;
-          Resp.Integer 1
-      | None -> Resp.Integer 0)
-  | [ i; key ] when i = "INCR" || i = "incr" -> (
-      charge t hash_cost;
-      let cur =
-        match Hashtbl.find_opt t.table key with
-        | Some e -> int_of_string_opt e.value
-        | None -> Some 0
-      in
-      match cur with
-      | None -> Resp.Error "ERR value is not an integer or out of range"
-      | Some v -> (
-          let s = string_of_int (v + 1) in
-          match store_bytes t s with
-          | None -> Resp.Error "OOM"
-          | Some e ->
-              (match Hashtbl.find_opt t.table key with
-              | Some old -> drop_entry t old
-              | None -> ());
-              Hashtbl.replace t.table key e;
-              persist_set t key s;
-              Resp.Integer (v + 1)))
-  | _ ->
-      (* Cold commands go through the generic engine (undo the counter
-         bump: execute_untraced counts it again). *)
-      t.commands <- t.commands - 1;
-      execute_untraced t args
+  | [ ("GET" | "get"); key ] ->
+      fast_hit t;
+      cmd_get t key
+  | [ ("SET" | "set"); key; value ] ->
+      fast_hit t;
+      cmd_set t key value
+  | [ ("PING" | "ping") ] ->
+      fast_hit t;
+      Resp.Simple "PONG"
+  | [ ("DEL" | "del"); key ] ->
+      fast_hit t;
+      cmd_del t [ key ]
+  | [ ("INCR" | "incr"); key ] ->
+      fast_hit t;
+      cmd_incr t key
+  | _ -> execute_untraced t args
 
 (* All replies for one received segment batch into one TX writer. *)
-let fast_scan t w buf off len =
+let fast_scan t c buf off len =
   let limit = off + len in
   let rec go pos =
     if pos >= limit then pos - off
@@ -356,43 +313,16 @@ let fast_scan t w buf off len =
             Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
               "resp_command_fast" (fun () -> execute_fast t args)
           in
-          Nbio.add w (Resp.encode reply);
+          Lineserv.reply c (Resp.encode reply);
           go next
       | Error `Incomplete -> pos - off
       | Error `Bad ->
-          Nbio.add w (Resp.encode (Resp.Error "ERR protocol error"));
+          Lineserv.reply c (Resp.encode (Resp.Error "ERR protocol error"));
           len
   in
   go off
 
-let stash_drain t w stash =
-  let s = Buffer.contents stash in
-  let consumed = fast_scan t w (Bytes.unsafe_of_string s) 0 (String.length s) in
-  if consumed > 0 then begin
-    let rest = String.sub s consumed (String.length s - consumed) in
-    Buffer.clear stash;
-    Buffer.add_string stash rest
-  end
-
-let fast_on_data t flow stash nb =
-  let w = Nbio.writer ~clock:t.clock ~stack:t.stack ~flow in
-  (if Buffer.length stash = 0 then begin
-     let buf, off, len = Nb.view nb in
-     let consumed = fast_scan t w buf off len in
-     if consumed < len then begin
-       Nb.pull nb consumed;
-       Buffer.add_bytes stash (Nb.copy_out nb)
-     end;
-     Nb.recycle nb
-   end
-   else begin
-     Buffer.add_bytes stash (Nb.copy_out nb);
-     Nb.recycle nb;
-     stash_drain t w stash
-   end);
-  Nbio.flush w
-
-let mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () =
+let mk ~clock ~alloc ~core ?share_with ?persist () =
   (* [share_with]: SMP workers serve one logical database — every worker
      reuses the first worker's key space (per-worker command counters stay
      separate; see [sum_stats]). The merkle backing is likewise shared. *)
@@ -408,8 +338,7 @@ let mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () =
     | None, None -> None
   in
   let t =
-    { clock; sched; stack; alloc; table; lists; core; persist; commands = 0; hits = 0;
-      misses = 0 }
+    { clock; alloc; table; lists; core; persist; commands = 0; hits = 0; misses = 0 }
   in
   (* Restart-and-replay: hydrate the keyspace from the store's last
      durable commit (a fresh table only — share_with peers already share
@@ -442,61 +371,14 @@ let mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () =
   t
 
 let create ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with ?persist () =
-  let t = mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () in
-  (* Listen synchronously so the port is open before any other core's
-     virtual time reaches a connect — under SMP this core's clock may
-     lag or lead the clients' by the time the coordinator first reaches
-     the accept thread. *)
-  let l = S.Tcp_socket.listen stack ~port () in
-  let _ =
-    (* Pinned: server threads charge this instance's clock and stack, so
-       work stealing must not migrate them to another core. *)
-    Uksched.Sched.spawn sched ~name:"redis-accept" ~daemon:true ~pinned:true (fun () ->
-        let rec loop () =
-          match S.Tcp_socket.accept ~block:true l with
-          | Some flow ->
-              let _ =
-                Uksched.Sched.spawn sched ~name:"redis-conn" ~daemon:true ~pinned:true
-                  (fun () -> handle_connection t flow)
-              in
-              loop ()
-          | None -> loop ()
-        in
-        loop ())
-  in
+  let t = mk ~clock ~alloc ~core ?share_with ?persist () in
+  Lineserv.serve_stream ~sched ~stack ~port ~name:"redis" (on_stream t);
   t
 
 let create_fast ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with
     ?persist ?(rtc = true) () =
-  let t = mk ~clock ~sched ~stack ~alloc ~core ?share_with ?persist () in
-  let l = S.Tcp_socket.listen stack ~port () in
-  let dispatch =
-    if rtc then fun job -> job ()
-    else begin
-      (* Ablation: hop each command batch through a pinned worker thread
-         instead of executing inside packet processing. *)
-      let q : (unit -> unit) Queue.t = Queue.create () in
-      let wtid =
-        Uksched.Sched.spawn sched ~name:"redis-fast-worker" ~daemon:true ~pinned:true
-          (fun () ->
-            let rec loop () =
-              (match Queue.take_opt q with
-              | Some job -> job ()
-              | None -> Uksched.Sched.block ());
-              loop ()
-            in
-            loop ())
-      in
-      fun job ->
-        Queue.push job q;
-        Uksched.Sched.wake sched wtid
-    end
-  in
-  S.Tcp_socket.set_fast_accept l
-    (Some
-       (fun flow ->
-         let stash = Buffer.create 64 in
-         Tcp.set_rx_sink flow (Some (fun nb -> dispatch (fun () -> fast_on_data t flow stash nb)))));
+  let t = mk ~clock ~alloc ~core ?share_with ?persist () in
+  Lineserv.serve_fast ~clock ~sched ~stack ~port ~name:"redis" ~rtc (fast_scan t);
   t
 
 let stats t = { commands = t.commands; hits = t.hits; misses = t.misses }

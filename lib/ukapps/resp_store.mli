@@ -52,8 +52,10 @@ val create_fast :
     with a specialized dispatch for the hot commands (PING/GET/SET/DEL/
     INCR; everything else falls back to the generic engine), and all
     replies for one received segment batch into minimal TX segments
-    ({!Nbio}). [rtc:false] ablates run-to-completion by hopping each batch
-    through a pinned worker thread. *)
+    ({!Nbio}) — see {!Lineserv.serve_fast}. [rtc:false] ablates
+    run-to-completion by hopping each batch through a pinned worker
+    thread. A bulk length over {!Lineserv.max_pending} is a protocol
+    error. *)
 
 val stats : t -> stats
 

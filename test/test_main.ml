@@ -12,6 +12,7 @@ let () =
       ("dns", T_dns.suite);
       ("fastpath (uknetdev+uknetstack+ukapps)", T_fastpath.suite);
       ("infer (ukapps+ukvfs+ukfleet)", T_infer.suite);
+      ("lineserv (ukapps+uknetstack)", T_lineserv.suite);
       ("ukalloc", T_ukalloc.suite);
       ("ukapps", T_ukapps.suite);
       ("ukblock", T_ukblock.suite);
