@@ -8,19 +8,32 @@ module Tcp = Uknetstack.Tcp
 
 (* --- reply side ------------------------------------------------------------ *)
 
-type conn =
+type sink =
   | Sock of { stack : S.t; flow : S.Tcp_socket.flow; out : Buffer.t }
   | Fast of Nbio.t
 
+(* [rejected]: the last answer on this connection was a protocol error. *)
+type conn = { sink : sink; mutable rejected : bool }
+
+let conn sink = { sink; rejected = false }
+
 let reply c s =
-  match c with Sock k -> Buffer.add_string k.out s | Fast w -> Nbio.add w s
+  c.rejected <- false;
+  match c.sink with Sock k -> Buffer.add_string k.out s | Fast w -> Nbio.add w s
 
 let send c s =
-  match c with
+  c.rejected <- false;
+  match c.sink with
   | Sock k -> ignore (S.Tcp_socket.send ~block:false k.stack k.flow (Bytes.of_string s))
   | Fast w ->
       Nbio.add w s;
       Nbio.flush w
+
+let reject c s =
+  if not c.rejected then begin
+    reply c s;
+    c.rejected <- true
+  end
 
 type scan = conn -> Bytes.t -> int -> int -> int
 
@@ -67,7 +80,7 @@ let drain p (scan : scan) c =
 
 (* --- socket datapath --------------------------------------------------------- *)
 
-let serve_stream ~sched ~stack ~port ~name handler =
+let serve ~sched ~stack ~port ~name scan =
   (* Listen synchronously so the port is open before any other core's
      virtual time reaches a connect — under SMP this core's clock may lag
      or lead the clients' by the time the coordinator first reaches the
@@ -76,13 +89,14 @@ let serve_stream ~sched ~stack ~port ~name handler =
   let conn_name = name ^ "-conn" in
   let connection flow () =
     let out = Buffer.create 1024 in
-    let c = Sock { stack; flow; out } in
-    let on_data = handler () in
+    let c = conn (Sock { stack; flow; out }) in
+    let p = pending () in
     let rec serve () =
       match S.Tcp_socket.recv ~block:true stack flow ~max:16384 with
       | None -> S.Tcp_socket.close stack flow
       | Some data ->
-          let keep = on_data c data in
+          append p data;
+          let keep = drain p scan c in
           if Buffer.length out > 0 then begin
             ignore (S.Tcp_socket.send ~block:true stack flow (Buffer.to_bytes out));
             Buffer.clear out
@@ -105,13 +119,6 @@ let serve_stream ~sched ~stack ~port ~name handler =
            loop ()
          in
          loop ()))
-
-let serve ~sched ~stack ~port ~name scan =
-  serve_stream ~sched ~stack ~port ~name (fun () ->
-      let p = pending () in
-      fun c data ->
-        append p data;
-        drain p scan c)
 
 (* --- netbuf datapath --------------------------------------------------------- *)
 
@@ -170,7 +177,7 @@ let serve_fast ~clock ~sched ~stack ~port ~name ~rtc scan =
     (Some
        (fun flow ->
          let w = Nbio.writer ~clock ~stack ~flow in
-         let c = Fast w in
+         let c = conn (Fast w) in
          let p = pending () in
          Tcp.set_rx_sink flow
            (Some (fun nb -> dispatch (fun () -> on_segment stack flow c w p scan nb)))))

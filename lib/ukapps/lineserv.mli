@@ -20,6 +20,11 @@ val send : conn -> string -> unit
     the writer filled and flushed on the spot. Safe outside the delivery
     that produced it (e.g. from an engine callback). *)
 
+val reject : conn -> string -> unit
+(** Answer a protocol error as {!reply} does, once per run of bad input:
+    while nothing has been answered since the last rejection, another
+    one is silent. *)
+
 type scan = conn -> Bytes.t -> int -> int -> int
 (** [scan c buf off len] serves every complete frame in
     [buf[off, off + len)] and returns the bytes consumed; the rest is
@@ -45,17 +50,6 @@ val serve :
     pinned [name ^ "-conn"] thread per connection append received bytes
     to the unconsumed tail and [scan] it; EOF or a tail over
     {!max_pending} closes the connection. *)
-
-val serve_stream :
-  sched:Uksched.Sched.t ->
-  stack:Uknetstack.Stack.t ->
-  port:int ->
-  name:string ->
-  (unit -> conn -> Bytes.t -> bool) ->
-  unit
-(** Socket datapath for an app that keeps its own framing buffer: the
-    factory runs once per connection, and its handler gets each received
-    chunk and returns false to close the connection. *)
 
 val serve_fast :
   clock:Uksim.Clock.t ->

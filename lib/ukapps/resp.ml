@@ -17,90 +17,99 @@ let rec encode = function
 
 let encode_command args = encode (Array (List.map (fun a -> Bulk a) args))
 
-module Parser = struct
-  type t = { buf : Buffer.t; mutable pos : int }
+(* --- command scanner -------------------------------------------------------- *)
 
-  let create () = { buf = Buffer.create 256; pos = 0 }
+let max_args = 64
 
-  let feed t b = Buffer.add_bytes t.buf b
-
-  (* Find "\r\n" starting at [from]; None if incomplete. *)
-  let find_crlf t from =
-    let s = Buffer.contents t.buf in
-    let n = String.length s in
-    let rec go i = if i + 1 >= n then None else if s.[i] = '\r' && s.[i + 1] = '\n' then Some i else go (i + 1) in
-    go from
-
-  let line t =
-    match find_crlf t t.pos with
-    | None -> None
-    | Some i ->
-        let s = Buffer.contents t.buf in
-        let l = String.sub s t.pos (i - t.pos) in
-        t.pos <- i + 2;
-        Some l
-
-  exception Incomplete
-  exception Bad of string
-
-  let rec parse_value t =
-    match line t with
-    | None -> raise Incomplete
-    | Some l ->
-        if String.length l = 0 then raise (Bad "empty line")
-        else begin
-          let body = String.sub l 1 (String.length l - 1) in
-          match l.[0] with
-          | '+' -> Simple body
-          | '-' -> Error body
-          | ':' -> (
-              match int_of_string_opt body with
-              | Some i -> Integer i
-              | None -> raise (Bad "bad integer"))
-          | '$' -> (
-              match int_of_string_opt body with
-              | Some -1 -> Null
-              | Some n when n >= 0 ->
-                  let s = Buffer.contents t.buf in
-                  (* [t.pos + n + 2] would wrap for lengths near max_int. *)
-                  if n > String.length s - t.pos - 2 then raise Incomplete
-                  else begin
-                    let v = String.sub s t.pos n in
-                    if not (s.[t.pos + n] = '\r' && s.[t.pos + n + 1] = '\n') then
-                      raise (Bad "bulk not terminated");
-                    t.pos <- t.pos + n + 2;
-                    Bulk v
-                  end
-              | Some _ | None -> raise (Bad "bad bulk length"))
-          | '*' -> (
-              match int_of_string_opt body with
-              | Some -1 -> Null
-              | Some n when n >= 0 ->
-                  let rec collect acc k = if k = 0 then List.rev acc else collect (parse_value t :: acc) (k - 1) in
-                  Array (collect [] n)
-              | Some _ | None -> raise (Bad "bad array length"))
-          | _ -> raise (Bad "unknown type byte")
-        end
-
-  let compact t =
-    (* Drop consumed bytes once they dominate the buffer. *)
-    if t.pos > 4096 && t.pos * 2 > Buffer.length t.buf then begin
-      let rest = Buffer.sub t.buf t.pos (Buffer.length t.buf - t.pos) in
-      Buffer.clear t.buf;
-      Buffer.add_string t.buf rest;
-      t.pos <- 0
+(* In-place RESP parse of one command ("*N\r\n$len\r\narg\r\n...") at
+   [pos] in [buf[.., limit)]. Argument strings are materialized (they are
+   keys and stored values — the app's objects, not payload frames). *)
+let scan_command buf pos limit =
+  let exception Incomplete in
+  let exception Bad in
+  let line p =
+    let rec go i =
+      if i + 1 >= limit then raise Incomplete
+      else if Bytes.get buf i = '\r' && Bytes.get buf (i + 1) = '\n' then i
+      else go (i + 1)
+    in
+    go p
+  in
+  let int_at p e =
+    match int_of_string_opt (Bytes.sub_string buf p (e - p)) with
+    | Some v -> v
+    | None -> raise Bad
+  in
+  try
+    if pos >= limit then Stdlib.Error `Incomplete
+    else if Bytes.get buf pos <> '*' then Stdlib.Error `Bad
+    else begin
+      let e = line pos in
+      let n = int_at (pos + 1) e in
+      if n < 0 || n > max_args then Stdlib.Error `Bad
+      else begin
+        let p = ref (e + 2) in
+        let args = ref [] in
+        for _ = 1 to n do
+          if !p >= limit then raise Incomplete;
+          if Bytes.get buf !p <> '$' then raise Bad;
+          let e = line !p in
+          let len = int_at (!p + 1) e in
+          if len < 0 then raise Bad;
+          let s = e + 2 in
+          (* A bulk over the connection's unconsumed-byte bound can
+             never complete. Compare against the room left: [s + len + 2]
+             wraps for lengths near max_int. *)
+          if len > Lineserv.max_pending then raise Bad;
+          if len > limit - s - 2 then raise Incomplete;
+          if not (Bytes.get buf (s + len) = '\r' && Bytes.get buf (s + len + 1) = '\n') then
+            raise Bad;
+          args := Bytes.sub_string buf s len :: !args;
+          p := s + len + 2
+        done;
+        Ok (List.rev !args, !p)
+      end
     end
+  with
+  | Incomplete -> Stdlib.Error `Incomplete
+  | Bad -> Stdlib.Error `Bad
 
-  let next t =
-    let saved = t.pos in
-    match parse_value t with
-    | v ->
-        compact t;
-        Ok (Some v)
-    | exception Incomplete ->
-        t.pos <- saved;
-        Ok None
-    | exception Bad e -> Error e
+(* --- reply scanner ---------------------------------------------------------- *)
 
-  let buffered t = Buffer.length t.buf - t.pos
-end
+(* Counts complete replies in a byte stream without materializing values.
+   State is tiny — bulk-body bytes still to skip, plus an accumulator for
+   the current header line — so replies can be counted directly in the
+   driver's ring buffer. *)
+type reply_scanner = { mutable skip : int; line : Buffer.t }
+
+let reply_scanner () = { skip = 0; line = Buffer.create 16 }
+
+let scan_replies sc buf off len ~on_reply =
+  let i = ref off in
+  let limit = off + len in
+  while !i < limit do
+    if sc.skip > 0 then begin
+      let n = min sc.skip (limit - !i) in
+      sc.skip <- sc.skip - n;
+      i := !i + n;
+      if sc.skip = 0 then on_reply `Ok
+    end
+    else begin
+      let c = Bytes.get buf !i in
+      Buffer.add_char sc.line c;
+      incr i;
+      let l = Buffer.length sc.line in
+      if l >= 2 && c = '\n' && Buffer.nth sc.line (l - 2) = '\r' then begin
+        let s = Buffer.contents sc.line in
+        Buffer.clear sc.line;
+        match s.[0] with
+        | '+' | ':' -> on_reply `Ok
+        | '$' -> (
+            match int_of_string_opt (String.sub s 1 (l - 3)) with
+            | Some -1 -> on_reply `Ok
+            | Some n when n >= 0 && n <= max_int - 2 -> sc.skip <- n + 2 (* body + CRLF *)
+            | Some _ | None -> on_reply `Err)
+        | _ -> on_reply `Err
+      end
+    end
+  done

@@ -23,11 +23,81 @@ let new_agg () = { errors = 0; requests = 0; t_end = 0.0 }
 let client_cmd_cost = 120
 
 (* The fast client formats commands straight into pool netbufs (the bytes
-   themselves are charged by {!Nbio}) and consumes replies with the
-   in-place boundary scanner — no parser, no value materialization. *)
+   themselves are charged by {!Nbio}) and counts replies in place in its
+   rx sink — no socket queue, no value materialization. *)
 let fast_client_cmd_cost = 40
 
-let spawn ~clock ~sched ~stack ~server ?(connections = 30) ?(pipeline = 16)
+(* The socket client: a pipelined batch goes out in one send; replies are
+   counted as they arrive, charging the client's per-reply cost. *)
+let socket_client ~clock ~sched:_ ~stack ~agg ~pipeline ~per_conn flow command =
+  let sc = Resp.reply_scanner () in
+  let replies_needed = ref 0 in
+  let on_reply r =
+    Uksim.Clock.advance clock client_cmd_cost;
+    (match r with `Err -> agg.errors <- agg.errors + 1 | `Ok -> ());
+    decr replies_needed
+  in
+  let rec read_replies () =
+    if !replies_needed > 0 then begin
+      match S.Tcp_socket.recv ~block:true stack flow ~max:65536 with
+      | None -> failwith "resp_bench: server closed connection"
+      | Some data ->
+          Resp.scan_replies sc data 0 (Bytes.length data) ~on_reply;
+          read_replies ()
+    end
+  in
+  let sent = ref 0 in
+  while !sent < per_conn do
+    let batch = min pipeline (per_conn - !sent) in
+    let buf = Buffer.create (batch * 40) in
+    for k = 0 to batch - 1 do
+      Uksim.Clock.advance clock client_cmd_cost;
+      Buffer.add_string buf (command (!sent + k))
+    done;
+    sent := !sent + batch;
+    replies_needed := batch;
+    ignore (S.Tcp_socket.send ~block:true stack flow (Buffer.to_bytes buf));
+    read_replies ()
+  done
+
+(* The zero-copy client: replies are counted by the same scanner running
+   in place as the flow's rx sink (no socket queue, no parser allocation),
+   requests go out pipelined through an {!Nbio} writer. Count-then-block
+   is race-free under the shared cooperative per-core scheduler. *)
+let fast_client ~clock ~sched ~stack ~agg ~pipeline ~per_conn flow command =
+  let me = Uksched.Sched.self () in
+  let got = ref 0 in
+  let sc = Resp.reply_scanner () in
+  Tcp.set_rx_sink flow
+    (Some
+       (fun nb ->
+         let buf, off, len = Nb.view nb in
+         Resp.scan_replies sc buf off len ~on_reply:(fun r ->
+             Uksim.Clock.advance clock fast_client_cmd_cost;
+             (match r with `Err -> agg.errors <- agg.errors + 1 | `Ok -> ());
+             incr got);
+         Nb.recycle nb;
+         Uksched.Sched.wake sched me));
+  let sent = ref 0 in
+  while !sent < per_conn do
+    let batch = min pipeline (per_conn - !sent) in
+    let w = Nbio.writer ~clock ~stack ~flow in
+    for k = 0 to batch - 1 do
+      Uksim.Clock.advance clock fast_client_cmd_cost;
+      Nbio.add w (command (!sent + k))
+    done;
+    Nbio.flush w;
+    sent := !sent + batch;
+    let want = !sent in
+    while !got < want do
+      Uksched.Sched.block ()
+    done
+  done;
+  Tcp.set_rx_sink flow None
+
+(* One request generator for both clients: connection [ci]'s [j]-th
+   command is request [ci * per_conn + j] of the workload. *)
+let spawn_with client ~clock ~sched ~stack ~server ?(connections = 30) ?(pipeline = 16)
     ?(requests = 100_000) ?(value_size = 3) ?(port_for = fun _ -> None) ~agg workload =
   let value = String.make value_size 'x' in
   let per_conn = max 1 (requests / connections) in
@@ -40,48 +110,8 @@ let spawn ~clock ~sched ~stack ~server ?(connections = 30) ?(pipeline = 16)
   in
   let client_thread ci () =
     let flow = S.Tcp_socket.connect stack ?lport:(port_for ci) ~dst:server () in
-    let parser = Resp.Parser.create () in
-    let replies_needed = ref 0 in
-    let sent = ref 0 in
-    let received = ref 0 in
-    let rec read_replies () =
-      if !replies_needed > 0 then begin
-        match S.Tcp_socket.recv ~block:true stack flow ~max:65536 with
-        | None -> failwith "resp_bench: server closed connection"
-        | Some data ->
-            Resp.Parser.feed parser data;
-            let rec drain () =
-              if !replies_needed > 0 then
-                match Resp.Parser.next parser with
-                | Ok (Some v) ->
-                    Uksim.Clock.advance clock client_cmd_cost;
-                    (match v with Resp.Error _ -> agg.errors <- agg.errors + 1 | _ -> ());
-                    decr replies_needed;
-                    incr received;
-                    drain ()
-                | Ok None -> ()
-                | Error _ ->
-                    agg.errors <- agg.errors + 1;
-                    decr replies_needed;
-                    drain ()
-            in
-            drain ();
-            read_replies ()
-      end
-    in
-    while !sent < per_conn do
-      let batch = min pipeline (per_conn - !sent) in
-      let buf = Buffer.create (batch * 40) in
-      for k = 0 to batch - 1 do
-        Uksim.Clock.advance clock client_cmd_cost;
-        Buffer.add_string buf (command ((ci * per_conn) + !sent + k))
-      done;
-      sent := !sent + batch;
-      replies_needed := batch;
-      ignore (S.Tcp_socket.send ~block:true stack flow (Bytes.of_string (Buffer.contents buf)));
-      read_replies ()
-    done;
-    ignore !received;
+    client ~clock ~sched ~stack ~agg ~pipeline ~per_conn flow (fun j ->
+        command ((ci * per_conn) + j));
     S.Tcp_socket.close stack flow;
     agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
   in
@@ -92,100 +122,8 @@ let spawn ~clock ~sched ~stack ~server ?(connections = 30) ?(pipeline = 16)
          (client_thread ci))
   done
 
-(* Incremental RESP reply-boundary scanner: counts complete replies in a
-   byte stream without materializing values. State is tiny — bulk-body
-   bytes still to skip, plus an accumulator for the current header line —
-   so replies can be counted directly in the driver's ring buffer. Only
-   the reply shapes the hot commands produce (simple/error/integer/bulk/
-   null) are recognized; the fast client never issues array-valued
-   commands. *)
-type rscan = { mutable skip : int; line : Buffer.t }
-
-let rscan_create () = { skip = 0; line = Buffer.create 16 }
-
-let rscan_feed sc buf off len ~on_reply =
-  let i = ref off in
-  let limit = off + len in
-  while !i < limit do
-    if sc.skip > 0 then begin
-      let n = min sc.skip (limit - !i) in
-      sc.skip <- sc.skip - n;
-      i := !i + n;
-      if sc.skip = 0 then on_reply `Ok
-    end
-    else begin
-      let c = Bytes.get buf !i in
-      Buffer.add_char sc.line c;
-      incr i;
-      let l = Buffer.length sc.line in
-      if l >= 2 && c = '\n' && Buffer.nth sc.line (l - 2) = '\r' then begin
-        let s = Buffer.contents sc.line in
-        Buffer.clear sc.line;
-        match s.[0] with
-        | '-' -> on_reply `Err
-        | '$' -> (
-            match int_of_string_opt (String.sub s 1 (String.length s - 3)) with
-            | Some n when n >= 0 -> sc.skip <- n + 2 (* body + CRLF *)
-            | Some _ | None -> on_reply `Ok (* $-1 null *))
-        | _ -> on_reply `Ok
-      end
-    end
-  done
-
-(* The zero-copy client: replies are counted by an in-place scanner running
-   as the flow's rx sink (no socket queue, no parser allocation), requests
-   go out pipelined through an {!Nbio} writer. Count-then-block is
-   race-free under the shared cooperative per-core scheduler. *)
-let spawn_fast ~clock ~sched ~stack ~server ?(connections = 30) ?(pipeline = 16)
-    ?(requests = 100_000) ?(value_size = 3) ?(port_for = fun _ -> None) ~agg workload =
-  let value = String.make value_size 'x' in
-  let per_conn = max 1 (requests / connections) in
-  agg.requests <- agg.requests + (per_conn * connections);
-  let key_of i = Printf.sprintf "key:%06d" (i land 0xfff) in
-  let command i =
-    match workload with
-    | Get -> Resp.encode_command [ "GET"; key_of i ]
-    | Set -> Resp.encode_command [ "SET"; key_of i; value ]
-  in
-  let client_thread ci () =
-    let flow = S.Tcp_socket.connect stack ?lport:(port_for ci) ~dst:server () in
-    let me = Uksched.Sched.self () in
-    let got = ref 0 in
-    let sc = { skip = 0; line = Buffer.create 16 } in
-    Tcp.set_rx_sink flow
-      (Some
-         (fun nb ->
-           let buf, off, len = Nb.view nb in
-           rscan_feed sc buf off len ~on_reply:(fun r ->
-               Uksim.Clock.advance clock fast_client_cmd_cost;
-               (match r with `Err -> agg.errors <- agg.errors + 1 | `Ok -> ());
-               incr got);
-           Nb.recycle nb;
-           Uksched.Sched.wake sched me));
-    let sent = ref 0 in
-    while !sent < per_conn do
-      let batch = min pipeline (per_conn - !sent) in
-      let w = Nbio.writer ~clock ~stack ~flow in
-      for k = 0 to batch - 1 do
-        Uksim.Clock.advance clock fast_client_cmd_cost;
-        Nbio.add w (command ((ci * per_conn) + !sent + k))
-      done;
-      Nbio.flush w;
-      sent := !sent + batch;
-      let want = !sent in
-      while !got < want do
-        Uksched.Sched.block ()
-      done
-    done;
-    Tcp.set_rx_sink flow None;
-    S.Tcp_socket.close stack flow;
-    agg.t_end <- Float.max agg.t_end (Uksim.Clock.ns clock)
-  in
-  for ci = 0 to connections - 1 do
-    ignore
-      (Uksched.Sched.spawn sched ~name:(Printf.sprintf "bench-%d" ci) ~pinned:true
-         (client_thread ci))
-  done
+let spawn = spawn_with socket_client
+let spawn_fast = spawn_with fast_client
 
 let result_of_agg agg ~t_start =
   let elapsed = agg.t_end -. t_start in

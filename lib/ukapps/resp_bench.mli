@@ -51,8 +51,8 @@ val spawn_fast :
   workload ->
   unit
 (** Zero-copy pipelined client for {!Resp_store.create_fast} servers:
-    replies are counted by an incremental boundary scanner running
-    in-place over ring netbufs ({!Uknetstack.Tcp.set_rx_sink}) and
+    replies are counted by {!Resp.scan_replies} running in place over
+    ring netbufs ({!Uknetstack.Tcp.set_rx_sink}) and
     commands go out through an {!Nbio} writer — no counted payload copies
     on either direction. *)
 
@@ -72,19 +72,3 @@ val run :
 (** Defaults mirror the paper: 30 connections, pipeline 16, 100k
     requests, 3-byte values. Must be called outside any scheduler thread;
     drives [sched] internally until the load completes. *)
-
-(** {2 Reply-boundary scanner}
-
-    The incremental scanner the zero-copy client runs as its rx sink.
-    Exposed for regression tests: its persistent state (bulk bytes left
-    to skip + partial header line) is what makes replies that straddle
-    netbuf boundaries count correctly. *)
-
-type rscan
-
-val rscan_create : unit -> rscan
-
-val rscan_feed :
-  rscan -> bytes -> int -> int -> on_reply:([ `Ok | `Err ] -> unit) -> unit
-(** Feed the scanner [len] bytes at [off]; [on_reply] fires once per
-    complete reply, regardless of how the stream is segmented. *)

@@ -186,35 +186,6 @@ and execute_untraced t args =
           Resp.Simple "OK"
       | _, _ -> Resp.Error (Printf.sprintf "ERR unknown command '%s'" cmd))
 
-let value_of_command = function
-  | Resp.Array parts ->
-      let strings =
-        List.filter_map (function Resp.Bulk s | Resp.Simple s -> Some s | _ -> None) parts
-      in
-      if List.length strings = List.length parts then Some strings else None
-  | _ -> None
-
-(* Socket path: [Resp.Parser] keeps its own framing buffer. *)
-let on_stream t () =
-  let parser = Resp.Parser.create () in
-  fun c data ->
-    Resp.Parser.feed parser data;
-    let rec drain () =
-      match Resp.Parser.next parser with
-      | Ok (Some v) ->
-          let reply =
-            match value_of_command v with
-            | Some args -> execute t args
-            | None -> Resp.Error "ERR protocol error"
-          in
-          Lineserv.reply c (Resp.encode reply);
-          drain ()
-      | Ok None -> ()
-      | Error e -> Lineserv.reply c (Resp.encode (Resp.Error ("ERR " ^ e)))
-    in
-    drain ();
-    true
-
 (* --- zero-copy run-to-completion fast path -------------------------------- *)
 
 (* Specialized dispatch for the hot commands: no robj churn, no generic
@@ -223,59 +194,6 @@ let on_stream t () =
    separately, so this envelope is just parse + dispatch glue. Redis's
    couple-of-thousand-cycle generic path shrinks to about a hundred. *)
 let fast_cmd_cost = 120
-
-(* In-place RESP parse of one command ("*N\r\n$len\r\narg\r\n...") at
-   [pos] in [buf[.., limit)]. Argument strings are materialized (they are
-   keys and stored values — the app's objects, not payload frames). *)
-let parse_cmd buf pos limit =
-  let exception Incomplete in
-  let exception Bad in
-  let line p =
-    let rec go i =
-      if i + 1 >= limit then raise Incomplete
-      else if Bytes.get buf i = '\r' && Bytes.get buf (i + 1) = '\n' then i
-      else go (i + 1)
-    in
-    go p
-  in
-  let int_at p e =
-    match int_of_string_opt (Bytes.sub_string buf p (e - p)) with
-    | Some v -> v
-    | None -> raise Bad
-  in
-  try
-    if pos >= limit then Error `Incomplete
-    else if Bytes.get buf pos <> '*' then Error `Bad
-    else begin
-      let e = line pos in
-      let n = int_at (pos + 1) e in
-      if n < 0 || n > 64 then Error `Bad
-      else begin
-        let p = ref (e + 2) in
-        let args = ref [] in
-        for _ = 1 to n do
-          if !p >= limit then raise Incomplete;
-          if Bytes.get buf !p <> '$' then raise Bad;
-          let e = line !p in
-          let len = int_at (!p + 1) e in
-          if len < 0 then raise Bad;
-          let s = e + 2 in
-          (* A bulk over the connection's unconsumed-byte bound can
-             never complete. Compare against the room left: [s + len + 2]
-             wraps for lengths near max_int. *)
-          if len > Lineserv.max_pending then raise Bad;
-          if len > limit - s - 2 then raise Incomplete;
-          if not (Bytes.get buf (s + len) = '\r' && Bytes.get buf (s + len + 1) = '\n') then
-            raise Bad;
-          args := Bytes.sub_string buf s len :: !args;
-          p := s + len + 2
-        done;
-        Ok (List.rev !args, !p)
-      end
-    end
-  with
-  | Incomplete -> Error `Incomplete
-  | Bad -> Error `Bad
 
 let fast_hit t =
   t.commands <- t.commands + 1;
@@ -301,23 +219,26 @@ let execute_fast t args =
       cmd_incr t key
   | _ -> execute_untraced t args
 
-(* All replies for one received segment batch into one TX writer. *)
-let fast_scan t c buf off len =
+(* The one scanner for both datapaths, around either executor: every
+   complete command in the window runs under [span]; the replies batch
+   into this delivery's send. A protocol error discards the window and is
+   answered once however many deliveries the bad input spans. *)
+let scan t span exec c buf off len =
   let limit = off + len in
   let rec go pos =
     if pos >= limit then pos - off
     else
-      match parse_cmd buf pos limit with
+      match Resp.scan_command buf pos limit with
       | Ok (args, next) ->
           let reply =
-            Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps"
-              "resp_command_fast" (fun () -> execute_fast t args)
+            Uktrace.Tracer.span Uktrace.Tracer.default t.clock ~core:t.core ~cat:"ukapps" span
+              (fun () -> exec t args)
           in
           Lineserv.reply c (Resp.encode reply);
           go next
       | Error `Incomplete -> pos - off
       | Error `Bad ->
-          Lineserv.reply c (Resp.encode (Resp.Error "ERR protocol error"));
+          Lineserv.reject c (Resp.encode (Resp.Error "ERR protocol error"));
           len
   in
   go off
@@ -372,13 +293,14 @@ let mk ~clock ~alloc ~core ?share_with ?persist () =
 
 let create ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with ?persist () =
   let t = mk ~clock ~alloc ~core ?share_with ?persist () in
-  Lineserv.serve_stream ~sched ~stack ~port ~name:"redis" (on_stream t);
+  Lineserv.serve ~sched ~stack ~port ~name:"redis" (scan t "resp_command" execute_untraced);
   t
 
 let create_fast ~clock ~sched ~stack ~alloc ?(port = 6379) ?(core = 0) ?share_with
     ?persist ?(rtc = true) () =
   let t = mk ~clock ~alloc ~core ?share_with ?persist () in
-  Lineserv.serve_fast ~clock ~sched ~stack ~port ~name:"redis" ~rtc (fast_scan t);
+  Lineserv.serve_fast ~clock ~sched ~stack ~port ~name:"redis" ~rtc
+    (scan t "resp_command_fast" execute_fast);
   t
 
 let stats t = { commands = t.commands; hits = t.hits; misses = t.misses }

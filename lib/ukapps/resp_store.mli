@@ -27,7 +27,10 @@ val create :
     on per-core stacks then serve one logical database (commands and
     hit/miss counters stay per-worker; see {!sum_stats}). [core] (default
     0) labels this worker's tracepoints; stats also register as an
-    ["ukapps.resp"] {!Uktrace.Registry} source.
+    ["ukapps.resp"] {!Uktrace.Registry} source. Both builds decode with
+    {!Resp.scan_command}: a malformed command (a bulk length over
+    {!Lineserv.max_pending} included) discards the rest of the delivery
+    and is answered [-ERR protocol error] once ({!Lineserv.reject}).
 
     [persist] mirrors the string keyspace (SET/DEL/INCR/FLUSHALL) into a
     crash-consistent {!Ukstore.Store}: on creation the keyspace is
@@ -54,8 +57,7 @@ val create_fast :
     replies for one received segment batch into minimal TX segments
     ({!Nbio}) — see {!Lineserv.serve_fast}. [rtc:false] ablates
     run-to-completion by hopping each batch through a pinned worker
-    thread. A bulk length over {!Lineserv.max_pending} is a protocol
-    error. *)
+    thread. *)
 
 val stats : t -> stats
 

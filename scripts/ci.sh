@@ -124,6 +124,14 @@ grep -q '"fastpath_resp_copies": 0,' BENCH_ablation.json || {
   echo "FAIL: RESP fast run made counted memcpys (must be copy-free end to end)"
   exit 1
 }
+grep -q '"fastpath_httpd_errors": 0,' BENCH_ablation.json || {
+  echo "FAIL: httpd fast run counted error replies (every request must succeed)"
+  exit 1
+}
+grep -q '"fastpath_resp_errors": 0,' BENCH_ablation.json || {
+  echo "FAIL: RESP fast run counted error replies (every command must succeed)"
+  exit 1
+}
 grep -q '"fastpath_replay_ok": true' BENCH_ablation.json || {
   echo "FAIL: same-seed 8-core fast-path run was not byte-identical"
   exit 1

@@ -268,11 +268,11 @@ let test_rscan_split_safe () =
     "+OK\r\n$3\r\nxxx\r\n-ERR nope\r\n$-1\r\n:42\r\n$10\r\nabcde\r\nfgh\r\n+PONG\r\n"
   in
   let count segments =
-    let sc = Ukapps.Resp_bench.rscan_create () in
+    let sc = Ukapps.Resp.reply_scanner () in
     let ok = ref 0 and err = ref 0 in
     List.iter
       (fun s ->
-        Ukapps.Resp_bench.rscan_feed sc (Bytes.of_string s) 0 (String.length s)
+        Ukapps.Resp.scan_replies sc (Bytes.of_string s) 0 (String.length s)
           ~on_reply:(function `Ok -> incr ok | `Err -> incr err))
       segments;
     (!ok, !err)

@@ -2,8 +2,8 @@
    under its four services: the straddle stash and the socket tail give
    the same replies however the request stream is segmented, on both
    datapaths; the unconsumed-byte bound closes a peer that never ends a
-   frame without disturbing its neighbours; and the RESP netbuf parser
-   survives a bulk length near max_int. *)
+   frame without disturbing its neighbours; and hostile RESP frames get
+   one protocol error on both datapaths. *)
 
 module Cl = Ukapps.Cluster
 module S = Uknetstack.Stack
@@ -250,13 +250,7 @@ let spawn_dripper c svc result =
          result := Some (!sent, eof)))
 
 let test_pending_bound () =
-  let cases =
-    List.concat_map
-      (fun svc ->
-        (* RESP's socket path frames through Resp.Parser's own buffer. *)
-        if svc.label = "resp" then [ (svc, true) ] else [ (svc, false); (svc, true) ])
-      services
-  in
+  let cases = List.concat_map (fun svc -> [ (svc, false); (svc, true) ]) services in
   List.iter
     (fun (svc, fast) ->
       let label = Printf.sprintf "%s %s" svc.label (datapath fast) in
@@ -279,27 +273,31 @@ let test_pending_bound () =
             (Buffer.contents legit))
     cases
 
-(* --- RESP bulk length near max_int --------------------------------------------- *)
+(* --- hostile RESP frames ---------------------------------------------------------- *)
 
-let test_resp_huge_bulk () =
-  let huge = "*1\r\n$4611686018427387903\r\nPING\r\n" in
-  let got =
-    serve resp ~fast:true ~clients:(fun c ->
-        let got = Buffer.create 64 in
-        spawn_client c ~port:resp.port ~pause:1_000_000.0
-          [ huge; Resp.encode_command [ "PING" ] ]
-          got;
-        got)
-  in
-  Alcotest.(check string) "protocol error, then the connection still serves"
-    "-ERR protocol error\r\n+PONG\r\n" (Buffer.contents got);
-  (* The socket path's parser waits for the bytes instead of indexing past
-     them. *)
-  let p = Resp.Parser.create () in
-  Resp.Parser.feed p (Bytes.of_string huge);
-  match Resp.Parser.next p with
-  | Ok None -> ()
-  | Ok (Some _) | Error _ -> Alcotest.fail "parser must report an incomplete frame"
+(* Each hostile write is answered with one protocol error and discarded;
+   a PING in a later write is then served as usual, on either datapath. *)
+let hostile_frames =
+  [
+    ("bulk length near max_int", "*1\r\n$4611686018427387903\r\nPING\r\n");
+    ("bulk body not followed by CRLF", "*1\r\n$4\r\nPINGxx\r\n");
+    ("simple-string argument", "*1\r\n+PING\r\n");
+    ("4096 nested arrays", String.concat "" (List.init 4096 (fun _ -> "*1\r\n")));
+  ]
+
+let test_resp_hostile_frames () =
+  List.iter
+    (fun fast ->
+      List.iter
+        (fun (name, frame) ->
+          let got =
+            exchange resp ~fast ~pause:1_000_000.0 [ frame; Resp.encode_command [ "PING" ] ]
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s: protocol error, then PONG" (datapath fast) name)
+            "-ERR protocol error\r\n+PONG\r\n" got)
+        hostile_frames)
+    [ false; true ]
 
 let suite =
   [
@@ -307,6 +305,6 @@ let suite =
       `Quick test_segmentation_invariant;
     Alcotest.test_case "a never-terminated frame closes only its connection" `Quick
       test_pending_bound;
-    Alcotest.test_case "RESP bulk length near max_int is a protocol error" `Quick
-      test_resp_huge_bulk;
+    Alcotest.test_case "hostile RESP frames get one protocol error (2 paths)" `Quick
+      test_resp_hostile_frames;
   ]

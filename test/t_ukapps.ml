@@ -21,55 +21,142 @@ let test_resp_encode () =
   Alcotest.(check string) "command" "*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"
     (Resp.encode_command [ "GET"; "k" ])
 
+let scan s = Resp.scan_command (Bytes.of_string s) 0 (String.length s)
+
 let test_resp_incremental_parse () =
-  let p = Resp.Parser.create () in
   let whole = Resp.encode_command [ "SET"; "key"; "value" ] in
-  let half = String.length whole / 2 in
-  Resp.Parser.feed p (Bytes.of_string (String.sub whole 0 half));
-  (match Resp.Parser.next p with
-  | Ok None -> ()
-  | _ -> Alcotest.fail "incomplete must yield None");
-  Resp.Parser.feed p (Bytes.of_string (String.sub whole half (String.length whole - half)));
-  match Resp.Parser.next p with
-  | Ok (Some (Resp.Array [ Resp.Bulk "SET"; Resp.Bulk "key"; Resp.Bulk "value" ])) -> ()
+  for k = 0 to String.length whole - 1 do
+    match scan (String.sub whole 0 k) with
+    | Error `Incomplete -> ()
+    | _ -> Alcotest.failf "a %d-byte prefix must be incomplete" k
+  done;
+  match scan whole with
+  | Ok ([ "SET"; "key"; "value" ], n) when n = String.length whole -> ()
   | _ -> Alcotest.fail "parse after completion"
 
 let test_resp_pipeline_parse () =
-  let p = Resp.Parser.create () in
-  let three = Resp.encode_command [ "PING" ] ^ Resp.encode (Resp.Integer 7) ^ Resp.encode Resp.Null in
-  Resp.Parser.feed p (Bytes.of_string three);
-  let take () = match Resp.Parser.next p with Ok (Some v) -> v | _ -> Alcotest.fail "value" in
-  (match take () with Resp.Array _ -> () | _ -> Alcotest.fail "first");
-  (match take () with Resp.Integer 7 -> () | _ -> Alcotest.fail "second");
-  (match take () with Resp.Null -> () | _ -> Alcotest.fail "third");
-  match Resp.Parser.next p with Ok None -> () | _ -> Alcotest.fail "drained"
+  let cmds = [ [ "PING" ]; [ "SET"; "k"; "v" ]; [ "GET"; "k" ] ] in
+  let s = String.concat "" (List.map Resp.encode_command cmds) in
+  let b = Bytes.of_string s in
+  let limit = String.length s in
+  let pos =
+    List.fold_left
+      (fun pos want ->
+        match Resp.scan_command b pos limit with
+        | Ok (args, next) when args = want -> next
+        | _ -> Alcotest.failf "command at %d" pos)
+      0 cmds
+  in
+  Alcotest.(check int) "all consumed" limit pos;
+  match Resp.scan_command b pos limit with
+  | Error `Incomplete -> ()
+  | _ -> Alcotest.fail "drained"
 
 let test_resp_protocol_error () =
-  let p = Resp.Parser.create () in
-  Resp.Parser.feed p (Bytes.of_string "!bogus\r\n");
-  match Resp.Parser.next p with Error _ -> () | Ok _ -> Alcotest.fail "bad type byte accepted"
+  List.iter
+    (fun s ->
+      match scan s with
+      | Error `Bad -> ()
+      | _ -> Alcotest.failf "%S accepted" s)
+    [
+      "!bogus\r\n";
+      "*1\r\n+PING\r\n";
+      "*1\r\n:1\r\n";
+      "*-1\r\n";
+      Printf.sprintf "*%d\r\n" (Resp.max_args + 1);
+      "*1\r\n$-2\r\n";
+      "*1\r\n$4\r\nPINGxx\r\n";
+      Printf.sprintf "*1\r\n$%d\r\n" (Ukapps.Lineserv.max_pending + 1);
+      "*1\r\n$4611686018427387903\r\nPING\r\n";
+    ]
 
-let resp_roundtrip_prop =
-  let value_gen =
-    QCheck.Gen.(
-      sized @@ fix (fun self n ->
-          let base =
-            oneof
-              [
-                map (fun s -> Resp.Simple s) (string_size ~gen:(char_range 'a' 'z') (return 5));
-                map (fun s -> Resp.Bulk s) (string_size (int_bound 30));
-                map (fun i -> Resp.Integer i) int;
-                return Resp.Null;
-              ]
-          in
-          if n = 0 then base
-          else oneof [ base; map (fun l -> Resp.Array l) (list_size (int_bound 4) (self (n / 2))) ]))
-  in
-  QCheck.Test.make ~name:"resp values roundtrip through the parser" ~count:200
-    (QCheck.make value_gen) (fun v ->
-      let p = Resp.Parser.create () in
-      Resp.Parser.feed p (Bytes.of_string (Resp.encode v));
-      match Resp.Parser.next p with Ok (Some got) -> got = v | _ -> false)
+let arg_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        string_size ~gen:(oneofl [ 'a'; 'Z'; '0'; '\r'; '\n'; '$'; '*'; ' ' ]) (int_bound 12);
+        oneofl [ ""; "\r\n"; "a\r\nb"; "$3\r\n"; "*1\r\n" ];
+      ])
+
+let args_gen = QCheck.Gen.(list_size (int_bound 6) arg_gen)
+
+(* Every window that ends inside the frame is incomplete, the whole frame
+   scans back to its arguments, and bytes outside the window (garbage on
+   both sides) are never looked at. *)
+let resp_command_roundtrip_prop =
+  QCheck.Test.make ~name:"encode_command scans back at every split point" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list string) args_gen) (fun args ->
+      let frame = Resp.encode_command args in
+      let n = String.length frame in
+      let b = Bytes.of_string ("$9\r" ^ frame ^ "*\r\n$") in
+      let rec prefixes k =
+        k = n
+        || (match Resp.scan_command b 3 (3 + k) with Error `Incomplete -> true | _ -> false)
+           && prefixes (k + 1)
+      in
+      prefixes 0
+      && match Resp.scan_command b 3 (3 + n) with Ok (got, next) -> got = args && next = 3 + n | _ -> false)
+
+let value_gen =
+  QCheck.Gen.(
+    sized @@ fix (fun self n ->
+        let base =
+          oneof
+            [
+              map (fun s -> Resp.Simple s) (string_size ~gen:(char_range 'a' 'z') (return 5));
+              map (fun s -> Resp.Error s) (string_size ~gen:(char_range 'a' 'z') (return 5));
+              map (fun s -> Resp.Bulk s) (string_size (int_bound 30));
+              map (fun i -> Resp.Integer i) int;
+              return Resp.Null;
+            ]
+        in
+        if n = 0 then base
+        else oneof [ base; map (fun l -> Resp.Array l) (list_size (int_bound 4) (self (n / 2))) ]))
+
+(* Valid command and reply streams, hostile fragments or random bytes,
+   then a few bytes overwritten and the tail cut at a random point. *)
+let hostile_gen =
+  QCheck.Gen.(
+    let cat g = map (String.concat "") (list_size (int_bound 5) g) in
+    let* base =
+      oneof
+        [
+          cat (map Resp.encode_command args_gen);
+          cat (map Resp.encode value_gen);
+          cat
+            (oneofl
+               [
+                 "*1\r\n"; "*65\r\n"; "*-1\r\n"; "$-1\r\n"; "$4611686018427387903\r\n";
+                 "$3\r\nabc\r\n"; "+PING\r\n"; "-ERR x\r\n"; ":7\r\n"; "\r\n";
+               ]);
+          string_size (int_bound 64);
+        ]
+    in
+    let* edits =
+      list_size (int_bound 4) (pair nat (oneofl [ '\r'; '\n'; '$'; '*'; '-'; '+'; '0'; '9'; 'x' ]))
+    in
+    let b = Bytes.of_string base in
+    let n = Bytes.length b in
+    List.iter (fun (i, c) -> if n > 0 then Bytes.set b (i mod n) c) edits;
+    map (fun cut -> Bytes.sub_string b 0 cut) (int_bound n))
+
+(* Scanned the way the servers and clients do — commands one after the
+   other until incomplete or bad, replies in one feed — neither scanner
+   raises, and a command consumes a non-empty part of the window. *)
+let resp_scanners_total_prop =
+  QCheck.Test.make ~name:"resp scanners are total on hostile bytes" ~count:1000
+    (QCheck.make ~print:QCheck.Print.string hostile_gen) (fun s ->
+      let len = String.length s in
+      let b = Bytes.of_string ("*1\r" ^ s ^ "\r\n$1") in
+      let limit = 3 + len in
+      let rec commands pos =
+        match Resp.scan_command b pos limit with
+        | Ok (_, next) -> next > pos && next <= limit && commands next
+        | Error (`Incomplete | `Bad) -> true
+      in
+      let replies = ref 0 in
+      Resp.scan_replies (Resp.reply_scanner ()) b 3 len ~on_reply:(fun _ -> incr replies);
+      commands 3 && !replies <= len)
 
 (* --- Resp_store semantics (direct execution) -------------------------------- *)
 
@@ -386,7 +473,8 @@ let suite =
     Alcotest.test_case "resp incremental parse" `Quick test_resp_incremental_parse;
     Alcotest.test_case "resp pipeline parse" `Quick test_resp_pipeline_parse;
     Alcotest.test_case "resp protocol errors" `Quick test_resp_protocol_error;
-    QCheck_alcotest.to_alcotest resp_roundtrip_prop;
+    QCheck_alcotest.to_alcotest resp_command_roundtrip_prop;
+    QCheck_alcotest.to_alcotest resp_scanners_total_prop;
     Alcotest.test_case "store set/get/del" `Quick test_store_set_get;
     Alcotest.test_case "store incr" `Quick test_store_incr;
     Alcotest.test_case "store lists and admin" `Quick test_store_lists_and_admin;
