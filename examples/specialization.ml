@@ -72,8 +72,8 @@ let storage_ladder () =
   let shfs = Ukvfs.Shfs.create ~clock () in
   let wc_shfs = Ukapps.Webcache.create ~clock (Ukapps.Webcache.Shfs_backed shfs) in
   ok (Ukapps.Webcache.populate wc_shfs ~n_files:200 ());
-  let v = Ukapps.Webcache.measure_open wc_vfs () in
-  let s = Ukapps.Webcache.measure_open wc_shfs () in
+  let v = Ukapps.Webcache.measure_open wc_vfs in
+  let s = Ukapps.Webcache.measure_open wc_shfs in
   (v, s)
 
 let () =

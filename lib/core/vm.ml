@@ -34,7 +34,7 @@ let make_alloc (c : Config.t) ~clock =
       let len = floor_pow2 len in
       Ukalloc.Buddy.create ~clock ~base:len ~len
   | Config.Tlsf -> Ukalloc.Tlsf.create ~clock ~base:heap_base ~len
-  | Config.Tinyalloc -> Ukalloc.Tinyalloc.create ~clock ~base:heap_base ~len ()
+  | Config.Tinyalloc -> Ukalloc.Tinyalloc.create ~clock ~base:heap_base ~len
   | Config.Mimalloc -> Ukalloc.Mimalloc.create ~clock ~base:heap_base ~len
   | Config.Bootalloc -> Ukalloc.Bootalloc.create ~clock ~base:heap_base ~len
   | Config.Oscar -> Ukalloc.Oscar.create ~clock ~base:heap_base ~len

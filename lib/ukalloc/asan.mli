@@ -23,8 +23,8 @@ val violation_to_string : violation -> string
 
 type t
 
-val wrap : clock:Uksim.Clock.t -> ?redzone:int -> ?quarantine:int -> Alloc.t -> t
-(** Defaults: 32-byte redzones, 64-entry quarantine. *)
+val wrap : clock:Uksim.Clock.t -> ?quarantine:int -> Alloc.t -> t
+(** Default: 64-entry quarantine. Redzones are 32 bytes. *)
 
 val alloc : t -> Alloc.t
 (** The sanitized allocator (same API; [free] of a quarantined address

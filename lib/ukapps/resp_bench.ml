@@ -95,11 +95,13 @@ let fast_client ~clock ~sched ~stack ~agg ~pipeline ~per_conn flow command =
   done;
   Tcp.set_rx_sink flow None
 
+(* The SET payload: 3 bytes, as in the paper's redis-benchmark runs. *)
+let value = "xxx"
+
 (* One request generator for both clients: connection [ci]'s [j]-th
    command is request [ci * per_conn + j] of the workload. *)
 let spawn_with client ~clock ~sched ~stack ~server ?(connections = 30) ?(pipeline = 16)
-    ?(requests = 100_000) ?(value_size = 3) ?(port_for = fun _ -> None) ~agg workload =
-  let value = String.make value_size 'x' in
+    ?(requests = 100_000) ?(port_for = fun _ -> None) ~agg workload =
   let per_conn = max 1 (requests / connections) in
   agg.requests <- agg.requests + (per_conn * connections);
   let key_of i = Printf.sprintf "key:%06d" (i land 0xfff) in
@@ -134,10 +136,9 @@ let result_of_agg agg ~t_start =
     errors = agg.errors;
   }
 
-let run ~clock ~sched ~stack ~server ?connections ?pipeline ?requests ?value_size workload =
+let run ~clock ~sched ~stack ~server ?connections ?pipeline ?requests workload =
   let agg = new_agg () in
   let t_start = Uksim.Clock.ns clock in
-  spawn ~clock ~sched ~stack ~server ?connections ?pipeline ?requests ?value_size ~agg
-    workload;
+  spawn ~clock ~sched ~stack ~server ?connections ?pipeline ?requests ~agg workload;
   Uksched.Sched.run sched;
   result_of_agg agg ~t_start

@@ -29,7 +29,6 @@ val spawn :
   ?connections:int ->
   ?pipeline:int ->
   ?requests:int ->
-  ?value_size:int ->
   ?port_for:(int -> int option) ->
   agg:agg ->
   workload ->
@@ -45,7 +44,6 @@ val spawn_fast :
   ?connections:int ->
   ?pipeline:int ->
   ?requests:int ->
-  ?value_size:int ->
   ?port_for:(int -> int option) ->
   agg:agg ->
   workload ->
@@ -66,9 +64,8 @@ val run :
   ?connections:int ->
   ?pipeline:int ->
   ?requests:int ->
-  ?value_size:int ->
   workload ->
   result
 (** Defaults mirror the paper: 30 connections, pipeline 16, 100k
-    requests, 3-byte values. Must be called outside any scheduler thread;
+    requests. SET values are 3 bytes. Must be called outside any scheduler thread;
     drives [sched] internally until the load completes. *)

@@ -1,7 +1,9 @@
 (** virtio-blk device for the ukblock API.
 
     A guest-side descriptor queue over a host-side backing store (an
-    in-memory disk image standing in for the host block layer). Requests
+    in-memory disk image standing in for the host block layer). The
+    image is a table of 64 KiB pages allocated on first write; unwritten
+    sectors read as zeros. Requests
     complete asynchronously on the event engine after the host-path
     latency; a completion handler (virtqueue interrupt) fires on
     idle-to-busy completion transitions, with the same storm-avoidance
@@ -13,19 +15,18 @@
 val create :
   clock:Uksim.Clock.t ->
   engine:Uksim.Engine.t ->
-  ?sector_size:int ->
   ?capacity_sectors:int ->
   ?queue_depth:int ->
   ?host_latency_ns:float ->
   unit ->
   Blockdev.t
-(** Defaults: 512-byte sectors, 131072 sectors (64 MiB), queue depth 128,
-    20 µs host path (virtio exit + host page-cache hit). *)
+(** Defaults: 131072 sectors (64 MiB), queue depth 128, 20 µs host path
+    (virtio exit + host page-cache hit). Sectors are 512 bytes. *)
 
 val create_ramdisk :
   clock:Uksim.Clock.t ->
-  ?sector_size:int ->
   ?capacity_sectors:int ->
   unit ->
   Blockdev.t
-(** Synchronous in-guest RAM disk (submit completes instantly). *)
+(** Synchronous in-guest RAM disk (submit completes instantly), on the
+    same 512-byte-sector medium. Default: 131072 sectors (64 MiB). *)

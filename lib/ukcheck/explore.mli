@@ -32,12 +32,11 @@ type config = {
   budget : int;  (** max schedules explored across all seeds (default 64) *)
   seeds : int list;  (** substrate seeds to cross with schedules (default [[1]]) *)
   max_decisions : int;  (** per-run decision cap — deeper points take the default (default 256) *)
-  walk_seed : int;  (** seed for the random-walk phase (default 0xC0FFEE) *)
 }
 
 val config :
-  ?cores:int -> ?budget:int -> ?seeds:int list -> ?max_decisions:int -> ?walk_seed:int ->
-  unit -> config
+  ?cores:int -> ?budget:int -> ?seeds:int list -> ?max_decisions:int -> unit -> config
+(** The random-walk phase is seeded with 0xC0FFEE. *)
 
 type stats = {
   schedules : int;  (** schedules actually run *)

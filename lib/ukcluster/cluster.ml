@@ -8,7 +8,6 @@ type t = {
   router : Router.t;
   detector : Detector.t;
   image : Ukfleet.Image.t;
-  mig_params : Migrate.params;
   mutable loading : bool;
   mutable c_migrations : int;
   mutable c_mig_aborts : int;
@@ -21,10 +20,8 @@ let default_classes n =
   (* A heterogeneous default: every third host is ARM-class. *)
   Array.init n (fun i -> if i mod 3 = 2 then Host.Arm else Host.X86)
 
-let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
-    ?(image = Ukfleet.Image.httpd) ?(net_latency_ns = 50_000.0) ?(net_gbps = 10.0)
-    ?(detector_params = Detector.params ()) ?(router_params = Router.params ())
-    ?(mig_params = Migrate.params ()) () =
+let create ?(seed = 42) ?(n_hosts = 4) ?classes ?(image = Ukfleet.Image.httpd)
+    ?(detector_params = Detector.params ()) ?(router_params = Router.params ()) () =
   if n_hosts < 2 then invalid_arg "Cluster.create: need at least two hosts";
   let classes = Option.value classes ~default:(default_classes n_hosts) in
   if Array.length classes <> n_hosts then
@@ -34,12 +31,10 @@ let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
   let rng = Uksim.Rng.create (seed lxor 0xc105) in
   (* Node ids: hosts are 0..n-1, the front tier is node n — it shares
      the fabric, so partitions can isolate it from any subset. *)
-  let net =
-    Netmodel.create ~latency_ns:net_latency_ns ~gbps:net_gbps ~nodes:(n_hosts + 1) ()
-  in
+  let net = Netmodel.create ~nodes:(n_hosts + 1) () in
   let hosts =
     Array.init n_hosts (fun i ->
-        Host.create ~clock ~engine ~seed ~id:i ~cls:classes.(i) ?instances ~image ())
+        Host.create ~clock ~engine ~seed ~id:i ~cls:classes.(i) ~image)
   in
   let router =
     Router.create ~clock ~engine ~seed ~net ~front:n_hosts ~n_hosts
@@ -101,7 +96,6 @@ let create ?(seed = 42) ?(n_hosts = 4) ?classes ?instances
       router;
       detector;
       image;
-      mig_params;
       loading = false;
       c_migrations = 0;
       c_mig_aborts = 0;
@@ -173,7 +167,6 @@ let rec start_migration t ~at_ns ~slot ~src ~dst ~attempt =
        ~dst_up:(fun () -> Host.up t.hosts.(dst))
        ~footprint_bytes:fp
        ~dirty_bps:(fun () -> 0.25 *. float_of_int fp)
-       ~params:t.mig_params
        ~on_drain:(fun ~now_ns on ->
          Router.drain_slot t.router ~slot on;
          Ukfleet.Fleet.set_draining (Host.fleet t.hosts.(src)) on;

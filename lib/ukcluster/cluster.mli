@@ -16,13 +16,9 @@ val create :
   ?seed:int ->
   ?n_hosts:int ->
   ?classes:Host.cls array ->
-  ?instances:int ->
   ?image:Ukfleet.Image.t ->
-  ?net_latency_ns:float ->
-  ?net_gbps:float ->
   ?detector_params:Detector.params ->
   ?router_params:Router.params ->
-  ?mig_params:Migrate.params ->
   unit ->
   t
 (** Defaults: 4 hosts (every third ARM-class), 2 instances each,

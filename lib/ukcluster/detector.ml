@@ -2,19 +2,19 @@ type status = Alive | Suspect | Dead
 
 let status_name = function Alive -> "alive" | Suspect -> "suspect" | Dead -> "dead"
 
-type params = {
-  interval_ns : float;
-  suspect_phi : float;
-  dead_phi : float;
-  ping_bytes : int;
-}
+type params = { interval_ns : float; suspect_phi : float }
 
-let params ?(interval_ns = Uksim.Units.msec 5.0) ?(suspect_phi = 1.0)
-    ?(dead_phi = 8.0) ?(ping_bytes = 64) () =
+(* Phi at which a host is declared dead (sticky). *)
+let dead_phi = 8.0
+
+(* Bytes per ping and per pong. *)
+let ping_bytes = 64
+
+let params ?(interval_ns = Uksim.Units.msec 5.0) ?(suspect_phi = 1.0) () =
   if interval_ns <= 0.0 then invalid_arg "Detector.params: interval must be positive";
   if dead_phi < suspect_phi then
     invalid_arg "Detector.params: dead_phi below suspect_phi";
-  { interval_ns; suspect_phi; dead_phi; ping_bytes }
+  { interval_ns; suspect_phi }
 
 type hstate = {
   host : int;
@@ -84,12 +84,12 @@ let check t hs ~now =
       hs.status <- Suspect;
       t.c_suspects <- t.c_suspects + 1;
       t.on_suspect ~now_ns:now hs.host;
-      if hs.phi >= t.p.dead_phi then begin
+      if hs.phi >= dead_phi then begin
         hs.status <- Dead;
         t.c_deads <- t.c_deads + 1;
         t.on_dead ~now_ns:now hs.host
       end
-  | Suspect when hs.phi >= t.p.dead_phi ->
+  | Suspect when hs.phi >= dead_phi ->
       hs.status <- Dead;
       t.c_deads <- t.c_deads + 1;
       t.on_dead ~now_ns:now hs.host
@@ -103,7 +103,7 @@ let at_abs t ns f =
 let rec beat t hs ~now =
   check t hs ~now;
   hs.pings <- hs.pings + 1;
-  (match Netmodel.transfer_ns t.net ~src:t.front ~dst:hs.host ~bytes:t.p.ping_bytes with
+  (match Netmodel.transfer_ns t.net ~src:t.front ~dst:hs.host ~bytes:ping_bytes with
   | None -> () (* ping lost on the forward path *)
   | Some d1 ->
       at_abs t (now +. d1) (fun () ->
@@ -111,7 +111,7 @@ let rec beat t hs ~now =
              ping arrives; the pong then races the reverse path. *)
           if t.probe hs.host then
             match
-              Netmodel.transfer_ns t.net ~src:hs.host ~dst:t.front ~bytes:t.p.ping_bytes
+              Netmodel.transfer_ns t.net ~src:hs.host ~dst:t.front ~bytes:ping_bytes
             with
             | None -> () (* pong lost: the asymmetric-partition signature *)
             | Some d2 -> at_abs t (now +. d1 +. d2) (fun () -> pong t hs ~now:(now +. d1 +. d2))));

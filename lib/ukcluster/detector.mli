@@ -8,7 +8,7 @@
     decades of improbability in the current pong silence, against an
     EWMA of the observed inter-pong gap. Crossing [suspect_phi] fires
     [on_suspect] (the router quarantines, keeping ring arcs); a later
-    pong fires [on_recover]; crossing [dead_phi] fires [on_dead] and is
+    pong fires [on_recover]; crossing phi 8.0 fires [on_dead] and is
     {e sticky} — a collected host must be re-admitted by the control
     plane, not by one late packet.
 
@@ -19,23 +19,13 @@ type status = Alive | Suspect | Dead
 
 val status_name : status -> string
 
-type params = private {
-  interval_ns : float;
-  suspect_phi : float;
-  dead_phi : float;
-  ping_bytes : int;
-}
+type params = private { interval_ns : float; suspect_phi : float }
 
-val params :
-  ?interval_ns:float ->
-  ?suspect_phi:float ->
-  ?dead_phi:float ->
-  ?ping_bytes:int ->
-  unit ->
-  params
-(** Defaults: 5 ms interval, suspect at phi 1.0, dead at phi 8.0, 64 B
-    pings. [suspect_phi = 0.0] is the planted-bug configuration: every
-    host is suspected on its first silent instant. *)
+val params : ?interval_ns:float -> ?suspect_phi:float -> unit -> params
+(** Defaults: 5 ms interval, suspect at phi 1.0. Fixed: dead at phi
+    8.0 (a [suspect_phi] above it is rejected), 64 B pings.
+    [suspect_phi = 0.0] is the planted-bug configuration: every host is
+    suspected on its first silent instant. *)
 
 type t
 

@@ -8,12 +8,14 @@ let cls_factor = function X86 -> 1.0 | Arm -> 2.0
 
 type state = Up | Frozen | Crashed
 
+(* Fixed fleet slots per host. *)
+let instances = 2
+
 type t = {
   id : int;
   cls : cls;
   fleet : Ukfleet.Fleet.t;
   engine : Uksim.Engine.t;
-  instances : int;
   mutable state : state;
   mutable epoch : int; (* bumped on crash: replies from a dead life are dropped *)
   mutable c_crashes : int;
@@ -23,7 +25,8 @@ type t = {
   mutable c_stale_replies : int;
 }
 
-let create ~clock ~engine ~seed ~id ~cls ?(instances = 2) ~image () =
+let create ~clock ~engine ~seed ~id ~cls ~image =
+
   let fleet =
     Ukfleet.Fleet.create
       ~seed:(seed lxor ((id + 1) * 0x9E3779B9))
@@ -39,7 +42,6 @@ let create ~clock ~engine ~seed ~id ~cls ?(instances = 2) ~image () =
     cls;
     fleet;
     engine;
-    instances;
     state = Up;
     epoch = 0;
     c_crashes = 0;
@@ -59,7 +61,7 @@ let crashes t = t.c_crashes
 let capacity_rps t =
   if t.state = Crashed then 0.0
   else
-    float_of_int t.instances *. 1e9
+    float_of_int instances *. 1e9
     /. (Ukfleet.Fleet.costs t.fleet).Ukfleet.Fleet.service_ns
 
 let settle_ns t = Ukfleet.Fleet.settle_ns t.fleet

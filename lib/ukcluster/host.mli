@@ -30,12 +30,10 @@ val create :
   seed:int ->
   id:int ->
   cls:cls ->
-  ?instances:int ->
   image:Ukfleet.Image.t ->
-  unit ->
   t
-(** Builds and starts the host's fleet ([instances] fixed slots,
-    default 2) on the shared timeline. *)
+(** Builds and starts the host's fleet (2 fixed slots) on the shared
+    timeline. *)
 
 val id : t -> int
 val cls : t -> cls

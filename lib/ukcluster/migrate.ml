@@ -13,13 +13,10 @@ let phase_name = function
   | Committed -> "committed"
   | Aborted r -> "aborted_" ^ reason_name r
 
-type params = { max_rounds : int; stop_copy_bytes : int }
-
-let params ?(max_rounds = 8) ?(stop_copy_bytes = 64 * 1024) () =
-  if max_rounds < 1 then invalid_arg "Migrate.params: max_rounds must be >= 1";
-  if stop_copy_bytes < 1 then
-    invalid_arg "Migrate.params: stop_copy_bytes must be >= 1";
-  { max_rounds; stop_copy_bytes }
+(* Pre-copy rounds before forcing stop-and-copy, and the dirty residue
+   small enough to stop for. *)
+let max_rounds = 8
+let stop_copy_bytes = 64 * 1024
 
 type t = {
   clock : Uksim.Clock.t;
@@ -30,7 +27,6 @@ type t = {
   src_up : unit -> bool;
   dst_up : unit -> bool;
   dirty_bps : unit -> float;
-  p : params;
   on_drain : now_ns:float -> bool -> unit;
   on_commit : now_ns:float -> pause_ns:float -> unit;
   on_abort : now_ns:float -> reason -> unit;
@@ -120,7 +116,7 @@ let rec round t ~now ~bytes ~n =
               let dirtied =
                 int_of_float (t.dirty_bps () *. dur /. 1e9)
               in
-              if dirtied <= t.p.stop_copy_bytes || n + 1 >= t.p.max_rounds then
+              if dirtied <= stop_copy_bytes || n + 1 >= max_rounds then
                 stop_copy t ~now ~bytes:dirtied
               else round t ~now ~bytes:dirtied ~n:(n + 1)
             end)
@@ -129,7 +125,7 @@ let rec round t ~now ~bytes ~n =
 let nop_drain ~now_ns:_ _ = ()
 
 let start ~clock ~engine ~net ~src ~dst ~src_up ~dst_up ~footprint_bytes
-    ~dirty_bps ~params:p ?(on_drain = nop_drain) ~on_commit ~on_abort ~at_ns () =
+    ~dirty_bps ?(on_drain = nop_drain) ~on_commit ~on_abort ~at_ns () =
   if src = dst then invalid_arg "Migrate.start: src = dst";
   if footprint_bytes < 1 then invalid_arg "Migrate.start: empty footprint";
   let t =
@@ -142,7 +138,6 @@ let start ~clock ~engine ~net ~src ~dst ~src_up ~dst_up ~footprint_bytes
       src_up;
       dst_up;
       dirty_bps;
-      p;
       on_drain;
       on_commit;
       on_abort;

@@ -7,7 +7,7 @@
     wire time ({!Netmodel}) plus the source's memcpy
     ({!Uksim.Cost.memcpy}); the guest keeps serving, dirtying
     [dirty_bps] bytes per second of copy. When the residue fits in
-    [stop_copy_bytes] (or rounds run out) the shard drains at the front
+    64 KiB (or 8 rounds run out) the shard drains at the front
     door, pauses for the final copy, and commits — or aborts if the
     destination crashed or either direction of the link is cut at
     handover. On abort, draining is always undone first, so the request
@@ -22,11 +22,6 @@ type phase = Precopy of int | Stop_copy | Committed | Aborted of reason
 
 val phase_name : phase -> string
 
-type params = private { max_rounds : int; stop_copy_bytes : int }
-
-val params : ?max_rounds:int -> ?stop_copy_bytes:int -> unit -> params
-(** Defaults: 8 rounds max, 64 KiB stop-and-copy threshold. *)
-
 type t
 
 val start :
@@ -39,7 +34,6 @@ val start :
   dst_up:(unit -> bool) ->
   footprint_bytes:int ->
   dirty_bps:(unit -> float) ->
-  params:params ->
   ?on_drain:(now_ns:float -> bool -> unit) ->
   on_commit:(now_ns:float -> pause_ns:float -> unit) ->
   on_abort:(now_ns:float -> reason -> unit) ->

@@ -2,44 +2,36 @@ type params = {
   deadline_ns : float;
   attempt_timeout_ns : float;
   max_retries : int;
-  retry_base_ns : float;
-  retry_factor : float;
-  retry_jitter : float;
   hedge : bool;
   hedge_quantile : float;
   hedge_min_ns : float;
-  admit_factor : float;
-  req_bytes : int;
-  resp_bytes : int;
-  vnodes : int;
 }
+
+(* Retry backoff: base, growth per retry, seeded jitter fraction. *)
+let retry_base_ns = Uksim.Units.msec 1.0
+let retry_factor = 2.0
+let retry_jitter = 0.5
+
+(* Admission holds this many deadlines' worth of live capacity. *)
+let admit_factor = 2.0
+
+(* Bytes on the wire per request / response. *)
+let req_bytes = 512
+let resp_bytes = 4096
+
+(* Ring points per slot on the front door. *)
+let vnodes = 64
 
 let params ?(deadline_ns = Uksim.Units.msec 50.0)
     ?(attempt_timeout_ns = Uksim.Units.msec 10.0) ?(max_retries = 2)
-    ?(retry_base_ns = Uksim.Units.msec 1.0) ?(retry_factor = 2.0)
-    ?(retry_jitter = 0.5) ?(hedge = false) ?(hedge_quantile = 97.0)
-    ?(hedge_min_ns = Uksim.Units.usec 500.0) ?(admit_factor = 2.0)
-    ?(req_bytes = 512) ?(resp_bytes = 4096) ?(vnodes = 64) () =
+    ?(hedge = false) ?(hedge_quantile = 97.0)
+    ?(hedge_min_ns = Uksim.Units.usec 500.0) () =
   if deadline_ns <= 0.0 || attempt_timeout_ns <= 0.0 then
     invalid_arg "Router.params: deadline/timeout must be positive";
   if max_retries < 0 then invalid_arg "Router.params: negative retry budget";
   if hedge_quantile <= 0.0 || hedge_quantile >= 100.0 then
     invalid_arg "Router.params: hedge_quantile out of (0,100)";
-  {
-    deadline_ns;
-    attempt_timeout_ns;
-    max_retries;
-    retry_base_ns;
-    retry_factor;
-    retry_jitter;
-    hedge;
-    hedge_quantile;
-    hedge_min_ns;
-    admit_factor;
-    req_bytes;
-    resp_bytes;
-    vnodes;
-  }
+  { deadline_ns; attempt_timeout_ns; max_retries; hedge; hedge_quantile; hedge_min_ns }
 
 type outcome = Completed | Shed | Expired
 
@@ -207,7 +199,7 @@ let max_outstanding t =
     if (not t.suspected.(h)) && not t.collected.(h) then
       cap := !cap +. t.capacity_rps ~host:h
   done;
-  max 8 (int_of_float (t.p.admit_factor *. !cap *. t.p.deadline_ns /. 1e9))
+  max 8 (int_of_float (admit_factor *. !cap *. t.p.deadline_ns /. 1e9))
 
 (* --- request lifecycle --------------------------------------------------- *)
 
@@ -273,7 +265,7 @@ let rec attempt t req ~now ~is_hedge =
         req.inflight <- req.inflight + 1;
         let att = { responded = false; timed_out = false; is_hedge } in
         trace t 0xa77e (mix req.rid host) now;
-        (match Netmodel.transfer_ns t.net ~src:t.front ~dst:host ~bytes:t.p.req_bytes with
+        (match Netmodel.transfer_ns t.net ~src:t.front ~dst:host ~bytes:req_bytes with
         | None -> () (* the request vanished into the partition *)
         | Some d1 ->
             at_abs t (now +. d1) (fun () ->
@@ -285,7 +277,7 @@ let rec attempt t req ~now ~is_hedge =
                       let tr = Uksim.Clock.ns t.clock in
                       match
                         Netmodel.transfer_ns t.net ~src:host ~dst:t.front
-                          ~bytes:t.p.resp_bytes
+                          ~bytes:resp_bytes
                       with
                       | None -> t.c_lost_replies <- t.c_lost_replies + 1
                       | Some d2 ->
@@ -317,9 +309,9 @@ and deliver t req att ~ok ~now =
 and consider_retry t req ~now =
   if (not req.done_) && req.retries_used < t.p.max_retries then begin
     let backoff =
-      t.p.retry_base_ns
-      *. (t.p.retry_factor ** float_of_int req.retries_used)
-      *. (1.0 +. (t.p.retry_jitter *. Uksim.Rng.float t.rng 1.0))
+      retry_base_ns
+      *. (retry_factor ** float_of_int req.retries_used)
+      *. (1.0 +. (retry_jitter *. Uksim.Rng.float t.rng 1.0))
     in
     if now +. backoff < req.deadline_at then begin
       req.retries_used <- req.retries_used + 1;
@@ -376,7 +368,7 @@ let offer t ~now_ns ~flow ~on_done =
 let create ~clock ~engine ~seed ~net ~front ~n_hosts ~params:p ~submit
     ~capacity_rps () =
   if n_hosts < 1 then invalid_arg "Router.create: need at least one host";
-  let fd = Ukfleet.Frontdoor.create ~vnodes:p.vnodes Ukfleet.Frontdoor.Consistent_hash in
+  let fd = Ukfleet.Frontdoor.create ~vnodes Ukfleet.Frontdoor.Consistent_hash in
   for s = 0 to n_hosts - 1 do
     Ukfleet.Frontdoor.add fd s
   done;

@@ -19,38 +19,25 @@ type params = private {
   deadline_ns : float;
   attempt_timeout_ns : float;
   max_retries : int;
-  retry_base_ns : float;
-  retry_factor : float;
-  retry_jitter : float;
   hedge : bool;
   hedge_quantile : float;
   hedge_min_ns : float;
-  admit_factor : float;
-  req_bytes : int;
-  resp_bytes : int;
-  vnodes : int;
 }
 
 val params :
   ?deadline_ns:float ->
   ?attempt_timeout_ns:float ->
   ?max_retries:int ->
-  ?retry_base_ns:float ->
-  ?retry_factor:float ->
-  ?retry_jitter:float ->
   ?hedge:bool ->
   ?hedge_quantile:float ->
   ?hedge_min_ns:float ->
-  ?admit_factor:float ->
-  ?req_bytes:int ->
-  ?resp_bytes:int ->
-  ?vnodes:int ->
   unit ->
   params
-(** Defaults: 50 ms deadline, 10 ms attempt timeout, 2 retries from a
-    1 ms base doubling with 0.5 jitter, hedging off (p97 trigger,
-    500 us floor when on), admit_factor 2.0, 512 B / 4 KiB on the wire,
-    64 vnodes per slot. *)
+(** Defaults: 50 ms deadline, 10 ms attempt timeout, 2 retries, hedging
+    off (p97 trigger, 500 us floor when on). Fixed: retries back off
+    from 1 ms, doubling, with 0.5 seeded jitter; admission holds 2.0
+    deadlines of live capacity; 512 B / 4 KiB on the wire; 64 vnodes
+    per slot. *)
 
 type outcome = Completed | Shed | Expired
 

@@ -34,13 +34,16 @@ type obj =
 
 type t
 
-val create : clock:Uksim.Clock.t -> ?ram_bytes:int -> ?pid:int -> unit -> t
+val create : clock:Uksim.Clock.t -> ?ram_bytes:int -> unit -> t
 (** [ram_bytes] (default 1 MiB, rounded to pages) bounds the physical
     pages available to [mmap]/[brk]; building the page table charges the
     dynamic boot cost to [clock]. *)
 
 val pagetable : t -> Ukmmu.Pagetable.t
-val pid : t -> int
+
+val pid : int
+(** Every process is pid 1: the unikernel runs one. *)
+
 val cwd : t -> string
 val set_cwd : t -> string -> unit
 

@@ -2,18 +2,20 @@ type plan = {
   at_ns : float;
   kill_fraction : float;
   min_kills : int;
-  stagger_ns : float;
   repeat_ns : float;
   rounds : int;
 }
 
-let plan ~at_ns ?(kill_fraction = 0.2) ?(min_kills = 1) ?(stagger_ns = 10_000.0)
-    ?(repeat_ns = 0.0) ?(rounds = 1) () =
+(* Delay between consecutive kills of one round. *)
+let stagger_ns = 10_000.0
+
+let plan ~at_ns ?(kill_fraction = 0.2) ?(min_kills = 1) ?(repeat_ns = 0.0)
+    ?(rounds = 1) () =
   if kill_fraction < 0.0 || kill_fraction > 1.0 then
     invalid_arg "Faultvm.plan: kill_fraction not in [0,1]";
   if min_kills < 0 then invalid_arg "Faultvm.plan: negative min_kills";
   if rounds < 1 then invalid_arg "Faultvm.plan: rounds must be >= 1";
-  { at_ns; kill_fraction; min_kills; stagger_ns; repeat_ns; rounds }
+  { at_ns; kill_fraction; min_kills; repeat_ns; rounds }
 
 type stats = { rounds_run : int; killed : int; missed : int }
 
@@ -62,7 +64,7 @@ let rec round t ~start ~left =
       in
       List.iteri
         (fun i iid ->
-          let when_ = start +. (float_of_int i *. t.p.stagger_ns) in
+          let when_ = start +. (float_of_int i *. stagger_ns) in
           at_abs t when_ (fun () ->
               if t.kill ~now_ns:when_ iid then t.st <- { t.st with killed = t.st.killed + 1 }
               else t.st <- { t.st with missed = t.st.missed + 1 }))

@@ -78,11 +78,9 @@ type t = {
   boot_mode : boot_mode;
   fd : Frontdoor.t;
   auto : Autoscaler.t option;
-  restart : Uksched.Supervisor.policy;
   slo_ns : float;
   shed_after_ns : float;
   bucket_ns : float;
-  lb_cap : int;
   initial : int;
   costs : costs;
   sub : sub;
@@ -216,11 +214,16 @@ let derive_costs ~image ~backend =
 
 (* --- construction -------------------------------------------------------- *)
 
+(* Crashed instances respawn under the supervisor's default policy. *)
+let restart = Uksched.Supervisor.default_policy
+
+(* Depth of the front-door queue. *)
+let lb_queue_cap = 4096
+
 let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firecracker)
     ?(boot_mode = Cold) ?(policy = Frontdoor.Least_loaded) ?autoscale
-    ?(restart = Uksched.Supervisor.default_policy) ?(slo_ns = Uksim.Units.msec 1.0)
-    ?(shed_after_ns = Uksim.Units.msec 4.0) ?(slo_bucket_ns = Uksim.Units.msec 5.0)
-    ?(lb_queue_cap = 4096) ?(initial = 1) ?(cost_factor = 1.0) ~image () =
+    ?(slo_ns = Uksim.Units.msec 1.0) ?(shed_after_ns = Uksim.Units.msec 4.0)
+    ?(slo_bucket_ns = Uksim.Units.msec 5.0) ?(initial = 1) ?(cost_factor = 1.0) ~image () =
   if initial < 1 then invalid_arg "Fleet.create: initial must be >= 1";
   if cost_factor <= 0.0 then invalid_arg "Fleet.create: cost_factor must be positive";
   let sub, external_sub =
@@ -239,11 +242,9 @@ let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firec
       boot_mode;
       fd = Frontdoor.create policy;
       auto = Option.map Autoscaler.create autoscale;
-      restart;
       slo_ns;
       shed_after_ns;
       bucket_ns = slo_bucket_ns;
-      lb_cap = lb_queue_cap;
       initial;
       costs =
         (* A per-host cost multiplier (ARM-class vs. x86-class silicon):
@@ -385,7 +386,7 @@ let route t req ~now =
   in
   match Frontdoor.pick t.fd ~flow:req.flow ~load with
   | None ->
-      if Queue.length t.lb_q < t.lb_cap then begin
+      if Queue.length t.lb_q < lb_queue_cap then begin
         Queue.push req t.lb_q;
         publish_gauges t
       end
@@ -530,10 +531,10 @@ let kill t ~now_ns ~iid =
         (List.rev orphans);
       (* Supervisor-style respawn: exponential backoff per consecutive
          crash, bounded by the restart budget. *)
-      if inst.restarts_used < t.restart.Uksched.Supervisor.max_restarts then begin
+      if inst.restarts_used < restart.Uksched.Supervisor.max_restarts then begin
         inst.restarts_used <- inst.restarts_used + 1;
         t.c_restarts <- t.c_restarts + 1;
-        let p = t.restart in
+        let p = restart in
         let backoff =
           Float.min p.Uksched.Supervisor.max_backoff_ns
             (p.Uksched.Supervisor.backoff_ns

@@ -94,11 +94,9 @@ val create :
   ?boot_mode:boot_mode ->
   ?policy:Frontdoor.policy ->
   ?autoscale:Autoscaler.params ->
-  ?restart:Uksched.Supervisor.policy ->
   ?slo_ns:float ->
   ?shed_after_ns:float ->
   ?slo_bucket_ns:float ->
-  ?lb_queue_cap:int ->
   ?initial:int ->
   ?cost_factor:float ->
   image:Image.t ->
@@ -106,9 +104,9 @@ val create :
   t
 (** Defaults: seed 1, [`Own] substrate, [Unikraft Firecracker] backend,
     [Cold] boots, [Least_loaded] policy, no autoscaler (fixed size),
-    {!Uksched.Supervisor.default_policy} restarts, 1 ms SLO, shedding
-    past 4 ms best-case wait, 5 ms SLO buckets, a 4096-deep front-door
-    queue, 1 initial instance. [cost_factor] (default 1.0) stretches
+    1 ms SLO, shedding past 4 ms best-case wait, 5 ms SLO buckets,
+    1 initial instance. Fixed: {!Uksched.Supervisor.default_policy}
+    restarts and a 4096-deep front-door queue. [cost_factor] (default 1.0) stretches
     every calibrated cost — boot, clone, activation, per-request service
     — by a host-class multiplier (e.g. an ARM-class edge host at 2x the
     x86 reference; see the edge-computing heterogeneity motivation). *)

@@ -14,7 +14,6 @@
 
 type app =
   | Httpd
-  | Resp
   | Infer of int  (** model size, MiB *)
   | Store  (** crash-consistent merkle KV ({!Ukapps.Store}) *)
 
@@ -26,9 +25,6 @@ type t = {
 
 val httpd : t
 (** The nginx-like static server, 612 B page, 8 MB guest (Fig 11 scale). *)
-
-val resp : t
-(** The redis-like store, 10 MB guest. *)
 
 val store : unit -> t
 (** The crash-consistent content-addressed KV server ({!Ukapps.Store}),

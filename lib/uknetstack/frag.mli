@@ -8,8 +8,8 @@
 
 type t
 
-val create : clock:Uksim.Clock.t -> ?timeout_ns:float -> ?max_datagrams:int -> unit -> t
-(** Defaults: 1 s reassembly timeout, at most 64 datagrams in flight
+val create : clock:Uksim.Clock.t -> ?timeout_ns:float -> unit -> t
+(** Default: 1 s reassembly timeout. At most 64 datagrams are in flight
     (RFC 791's resource bound; the oldest is evicted beyond it). *)
 
 type verdict =

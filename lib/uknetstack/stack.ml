@@ -454,7 +454,10 @@ let rx_path_of t = if t.rx_copy then Nd.Copy_into (rx_alloc_of t) else Nd.Zero_c
    0.49 ms nginx boot floor in Fig 14). *)
 let stack_init_cost = 1_250_000
 
-let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(pool_size = 512) ?(rx_batch = 64)
+(* Netbufs pre-allocated per stack when no external pool is given. *)
+let pool_size = 512
+
+let create ~clock ~engine ?sched ?alloc ~dev ?(qid = 0) ?(rx_batch = 64)
     ?(rx_copy = false) ?(tx_coalesce = false) ?pool cfg =
   Uksim.Clock.advance clock stack_init_cost;
   let pool =

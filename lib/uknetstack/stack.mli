@@ -46,7 +46,6 @@ val create :
   ?alloc:Ukalloc.Alloc.t ->
   dev:Uknetdev.Netdev.t ->
   ?qid:int ->
-  ?pool_size:int ->
   ?rx_batch:int ->
   ?rx_copy:bool ->
   ?tx_coalesce:bool ->
@@ -55,8 +54,8 @@ val create :
   t
 (** Configures queue [qid] of [dev] (default 0; polling mode — {!start}
     switches it to interrupt mode). In multi-queue RSS setups one stack
-    instance owns each queue, all sharing the device's MAC/IP. [pool_size]
-    netbufs are pre-allocated (default 512), backed by [alloc] when given —
+    instance owns each queue, all sharing the device's MAC/IP. 512
+    netbufs are pre-allocated, backed by [alloc] when given —
     the paper's "memory pools in the networking stack" — unless an external
     [pool] is supplied (the shared-pool ablation passes one pool to every
     stack). [rx_batch] bounds descriptors per {!poll} (default 64; 1 =

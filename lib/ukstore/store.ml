@@ -722,16 +722,18 @@ let to_list t =
           | Tree.Node _ | Tree.Commit _ -> raise (Err Ukvfs.Fs.Eio))
         (Tree.to_list t.src t.root))
 
+(* Journal ring or data area full: checkpoint frees the ring and retry
+   once. *)
+let commit_or_checkpoint t ~parents ~msg =
+  try commit_with t ~parents ~msg
+  with Err Ukvfs.Fs.Enospc ->
+    checkpoint_exn t;
+    commit_with t ~parents ~msg
+
 let commit t ?(msg = "") () =
   guard (fun () ->
       if t.head <> null && not (dirty t) then t.head
-      else
-        try commit_with t ~parents:(if t.head = null then [] else [ t.head ]) ~msg
-        with Err Ukvfs.Fs.Enospc ->
-          (* Journal ring or data area full: checkpoint frees the ring
-             and retry once. *)
-          checkpoint_exn t;
-          commit_with t ~parents:(if t.head = null then [] else [ t.head ]) ~msg)
+      else commit_or_checkpoint t ~parents:(if t.head = null then [] else [ t.head ]) ~msg)
 
 let checkout t h =
   guard (fun () ->
@@ -856,7 +858,7 @@ let merge t other ?(msg = "merge") () =
               | Some vh -> t.root <- Tree.set t.src t.root k vh
               | None -> t.root <- Tree.remove t.src t.root k)
           sorted;
-        let ch = commit_with t ~parents:[ ours; other ] ~msg in
+        let ch = commit_or_checkpoint t ~parents:[ ours; other ] ~msg in
         t.st <- { t.st with merges = t.st.merges + 1; conflicts = t.st.conflicts + !conflicts };
         g.g_merges <- g.g_merges + 1;
         g.g_conflicts <- g.g_conflicts + !conflicts;

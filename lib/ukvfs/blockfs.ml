@@ -177,7 +177,11 @@ let add t ~name content =
 
 type streamed = { bytes : int; digest : int; chunks : int }
 
-let stream t ~name ?(window = 32) ?(chunk_sectors = 512) ?(f = fun _ ~off:_ ~len:_ -> ()) () =
+(* Chunks kept in flight, and sectors per chunk (256 KiB). *)
+let window = 32
+let chunk_sectors = 512
+
+let stream t ~name ?(f = fun _ ~off:_ ~len:_ -> ()) () =
   match find t name with
   | None -> Error Fs.Enoent
   | Some o ->

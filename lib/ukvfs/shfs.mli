@@ -10,8 +10,8 @@
 
 type t
 
-val create : clock:Uksim.Clock.t -> ?buckets:int -> unit -> t
-(** [buckets] defaults to 1024 (rounded up to a power of two). *)
+val create : clock:Uksim.Clock.t -> unit -> t
+(** An empty store with 1024 hash buckets. *)
 
 val add : t -> name:string -> bytes -> unit
 (** Insert or replace an object (populating the cache image). *)

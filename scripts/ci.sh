@@ -13,6 +13,18 @@ echo "== tests =="
 python3 scripts/check_tests.py
 dune runtest
 
+echo "== test-suite memory (ukstore suite alone) =="
+python3 -c '
+import resource, subprocess, sys
+r = subprocess.run(["_build/default/test/test_main.exe", "test", "ukstore"], stdout=subprocess.DEVNULL)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"ukstore suite peak RSS: {mb:.0f} MB (gate: <= 256 MB)")
+sys.exit(1 if r.returncode != 0 or mb > 256 else 0)
+' || {
+  echo "FAIL: ukstore test suite failed or peaked above 256 MB (block media must allocate on write)"
+  exit 1
+}
+
 echo "== benchmark self-test (perfbench checks, fixed seeds) =="
 python3 perfbench/selftest.py
 

@@ -445,8 +445,8 @@ let test_webcache_specialization_wins () =
   ignore (Ukvfs.Vfs.mount vfs ~at:"/" (Ukvfs.Ramfs.create ~clock:c ()));
   let wc_v = Ukapps.Webcache.create ~clock:c (Ukapps.Webcache.Vfs_backed (vfs, "/")) in
   ignore (Ukapps.Webcache.populate wc_v ~n_files:100 ());
-  let s = Ukapps.Webcache.measure_open wc_s () in
-  let v = Ukapps.Webcache.measure_open wc_v () in
+  let s = Ukapps.Webcache.measure_open wc_s in
+  let v = Ukapps.Webcache.measure_open wc_v in
   Alcotest.(check bool)
     (Printf.sprintf "hit: shfs %.0fns vs vfs %.0fns" s.Ukapps.Webcache.hit_ns v.Ukapps.Webcache.hit_ns)
     true

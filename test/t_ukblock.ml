@@ -37,6 +37,42 @@ let test_bounds () =
   | Error B.Ebounds -> ()
   | _ -> Alcotest.fail "negative lba"
 
+(* The medium is 64 KiB pages (128 sectors) allocated on first write:
+   a write across a page boundary round-trips, and sectors never written
+   (in a written page or in a page never touched) read as zeros. Both
+   devices share the medium, so both are checked. *)
+let test_medium_page_boundary () =
+  let clock, engine = env () in
+  List.iter
+    (fun (label, d) ->
+      let data = Bytes.init 2048 (fun i -> Char.chr (1 + (i mod 251))) in
+      (match d.B.write_sync ~lba:126 data with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail (B.error_to_string e));
+      match d.B.read_sync ~lba:120 ~sectors:180 with
+      | Error e -> Alcotest.fail (B.error_to_string e)
+      | Ok got ->
+          let written = 6 * 512 in
+          Alcotest.(check bytes) (label ^ ": written span") data (Bytes.sub got written 2048);
+          Bytes.iteri
+            (fun i c ->
+              if (i < written || i >= written + 2048) && c <> '\000' then
+                Alcotest.failf "%s: unwritten byte %d reads %C" label i c)
+            got)
+    [ ("ramdisk", V.create_ramdisk ~clock ()); ("virtio-blk", V.create ~clock ~engine ()) ]
+
+(* A 64 MiB device costs nothing until written: creating one must not
+   allocate the disk image. *)
+let test_medium_allocated_on_write () =
+  let clock, engine = env () in
+  let before = Gc.allocated_bytes () in
+  let d = V.create ~clock ~engine () in
+  let used = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "64 MiB of sectors" 131072 d.B.capacity_sectors;
+  Alcotest.(check bool)
+    (Printf.sprintf "create allocated %.0f bytes (< 1 MiB)" used)
+    true (used < 1048576.0)
+
 let test_virtio_blk_async () =
   let clock, engine = env () in
   let d = V.create ~clock ~engine ~host_latency_ns:10_000.0 () in
@@ -235,6 +271,10 @@ let suite =
   [
     Alcotest.test_case "ramdisk read/write" `Quick test_ramdisk_rw;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
+    Alcotest.test_case "medium page boundary, unwritten reads zero" `Quick
+      test_medium_page_boundary;
+    Alcotest.test_case "64 MiB device allocates on write only" `Quick
+      test_medium_allocated_on_write;
     Alcotest.test_case "virtio-blk async completion" `Quick test_virtio_blk_async;
     Alcotest.test_case "virtio-blk interrupts" `Quick test_virtio_blk_interrupt;
     Alcotest.test_case "queue depth" `Quick test_virtio_blk_queue_depth;

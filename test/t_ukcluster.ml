@@ -57,8 +57,8 @@ let test_net_partitions () =
 let test_host_classes () =
   let clock = Uksim.Clock.create () in
   let engine = Uksim.Engine.create clock in
-  let x = Host.create ~clock ~engine ~seed:1 ~id:0 ~cls:Host.X86 ~image:Ukfleet.Image.httpd () in
-  let a = Host.create ~clock ~engine ~seed:1 ~id:1 ~cls:Host.Arm ~image:Ukfleet.Image.httpd () in
+  let x = Host.create ~clock ~engine ~seed:1 ~id:0 ~cls:Host.X86 ~image:Ukfleet.Image.httpd in
+  let a = Host.create ~clock ~engine ~seed:1 ~id:1 ~cls:Host.Arm ~image:Ukfleet.Image.httpd in
   let svc h = (Ukfleet.Fleet.costs (Host.fleet h)).Ukfleet.Fleet.service_ns in
   Alcotest.(check (float 0.001)) "ARM-class serves at 2x the cost" 2.0 (svc a /. svc x);
   Alcotest.(check (float 0.001)) "capacity halves in step" 2.0
@@ -67,7 +67,7 @@ let test_host_classes () =
 let test_host_crash_drops_replies () =
   let clock = Uksim.Clock.create () in
   let engine = Uksim.Engine.create clock in
-  let h = Host.create ~clock ~engine ~seed:3 ~id:0 ~cls:Host.X86 ~image:Ukfleet.Image.httpd () in
+  let h = Host.create ~clock ~engine ~seed:3 ~id:0 ~cls:Host.X86 ~image:Ukfleet.Image.httpd in
   let t0 = Host.settle_ns h in
   let at ns f = Uksim.Engine.at engine (Uksim.Clock.cycles_of_ns ns) f in
   let before = ref 0 and after = ref 0 in

@@ -349,6 +349,28 @@ let test_journal_ring_wraps_via_checkpoint () =
   Alcotest.(check bool) "checkpoints forced" true ((St.stats t).St.checkpoints > 0);
   Alcotest.(check (option string)) "data intact" (Some (String.make 100 'x')) (get t "k40")
 
+let test_merge_wraps_journal_via_checkpoint () =
+  (* A merge commit that does not fit the ring takes the same
+     checkpoint-and-retry path as a plain commit. *)
+  let _, _, t = fresh ~journal_sectors:12 () in
+  set t "base" "b";
+  let b = commit t in
+  let branch side =
+    for i = 1 to 40 do
+      set t (Printf.sprintf "%s%d" side i) (String.make 100 'x')
+    done;
+    commit t
+  in
+  let left = branch "l" in
+  ok (St.checkout t b);
+  ignore (branch "r");
+  let before = (St.stats t).St.checkpoints in
+  let _, conflicts = ok (St.merge t left ()) in
+  Alcotest.(check int) "no conflicts" 0 conflicts;
+  Alcotest.(check bool) "the merge forced a checkpoint" true
+    ((St.stats t).St.checkpoints > before);
+  Alcotest.(check int) "both sides merged" 81 (List.length (ok (St.to_list t)))
+
 (* --- the served workload ---------------------------------------------------- *)
 
 let test_store_server_cluster () =
@@ -512,6 +534,7 @@ let suite =
     ("crash during checkpoint", `Quick, test_crash_during_checkpoint);
     ("recovery deterministic", `Quick, test_recovery_is_deterministic);
     ("journal ring wraps", `Quick, test_journal_ring_wraps_via_checkpoint);
+    ("merge wraps the journal ring", `Quick, test_merge_wraps_journal_via_checkpoint);
     ("store server on cluster", `Quick, test_store_server_cluster);
     ("fast store replay identical", `Quick, test_store_server_fast_replay_identical);
     ("server survives crash+restart", `Quick, test_store_server_survives_crash_restart);
