@@ -11,6 +11,8 @@ type t = {
   clock : Uksim.Clock.t;
   alloc : Ukalloc.Alloc.t;
   content : content;
+  pages : (string * (string * int)) list;
+      (* In_memory only: path -> (rendered 200 reply, body length) *)
   core : int; (* tracepoint lane; the owning core under SMP *)
   mutable st : stats;
 }
@@ -33,12 +35,21 @@ let default_page =
 
 let charge t c = Uksim.Clock.advance t.clock c
 
+let response ~status ~body =
+  Printf.sprintf "HTTP/1.1 %s\r\nServer: ukraft\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
+    status (String.length body) body
+
+let ok_reply body = (response ~status:"200 OK" ~body, String.length body)
+let bad_request = response ~status:"400 Bad Request" ~body:"bad request"
+let not_found = response ~status:"404 Not Found" ~body:"not found"
+let overloaded = response ~status:"503 Service Unavailable" ~body:"overloaded"
+
+(* The 200 reply for [path] and its body length. In-memory pages are
+   rendered once by [mk]; files are read and rendered per request, since
+   they can change underneath the server. *)
 let lookup t path =
   match t.content with
-  | In_memory pages -> (
-      match List.assoc_opt path pages with
-      | Some body -> Some body
-      | None -> None)
+  | In_memory _ -> List.assoc_opt path t.pages
   | Via_vfs vfs -> (
       match Ukvfs.Vfs.open_file vfs path () with
       | Error _ -> None
@@ -47,7 +58,7 @@ let lookup t path =
             match Ukvfs.Vfs.stat vfs path with
             | Ok { Ukvfs.Fs.size; _ } -> (
                 match Ukvfs.Vfs.pread vfs fd ~off:0 ~len:size with
-                | Ok data -> Some (Bytes.to_string data)
+                | Ok data -> Some (ok_reply (Bytes.to_string data))
                 | Error _ -> None)
             | Error _ -> None
           in
@@ -61,15 +72,11 @@ let lookup t path =
           let size = Ukvfs.Shfs.size_direct shfs h in
           let result =
             match Ukvfs.Shfs.read_direct shfs h ~off:0 ~len:size with
-            | Ok data -> Some (Bytes.to_string data)
+            | Ok data -> Some (ok_reply (Bytes.to_string data))
             | Error _ -> None
           in
           Ukvfs.Shfs.close_direct shfs h;
           result)
-
-let response ~status ~body =
-  Printf.sprintf "HTTP/1.1 %s\r\nServer: ukraft\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
-    status (String.length body) body
 
 (* Extract the path of a "GET <path> HTTP/1.x" request line. *)
 let parse_request line =
@@ -80,15 +87,15 @@ let parse_request line =
 (* Both builds answer a parsed path the same way; [copy] charges the
    socket build's materialization of the body. *)
 let route t ~copy = function
-  | None -> response ~status:"400 Bad Request" ~body:"bad request"
+  | None -> bad_request
   | Some path -> (
       match lookup t path with
-      | Some body ->
-          if copy then charge t (Uksim.Cost.memcpy (String.length body));
-          response ~status:"200 OK" ~body
+      | Some (reply, body_len) ->
+          if copy then charge t (Uksim.Cost.memcpy body_len);
+          reply
       | None ->
           t.st <- { t.st with errors_404 = t.st.errors_404 + 1 };
-          response ~status:"404 Not Found" ~body:"not found")
+          not_found)
 
 let count_sent t reply =
   t.st <-
@@ -108,7 +115,7 @@ and handle_request_untraced t req_line =
         (* Allocator under pressure: shed the request instead of serving
            it half-built (degraded mode). *)
         t.st <- { t.st with errors_503 = t.st.errors_503 + 1 };
-        response ~status:"503 Service Unavailable" ~body:"overloaded"
+        overloaded
     | Some _ -> route t ~copy:true (parse_request req_line)
   in
   charge t respond_cost;
@@ -179,7 +186,12 @@ let scan_requests serve c buf off len =
   go off
 
 let mk ~clock ~alloc ~core content =
-  let t = { clock; alloc; content; core; st = zero_stats } in
+  let pages =
+    match content with
+    | In_memory pages -> List.map (fun (path, body) -> (path, ok_reply body)) pages
+    | Via_vfs _ | Via_shfs _ -> []
+  in
+  let t = { clock; alloc; content; pages; core; st = zero_stats } in
   Uktrace.Registry.register
     (Uktrace.Source.make ~subsystem:"ukapps" ~name:"httpd"
        ~reset:(fun () -> t.st <- zero_stats)

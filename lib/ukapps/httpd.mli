@@ -6,7 +6,9 @@
     (the Fig 22 specialization axis when combined with {!Webcache}). *)
 
 type content =
-  | In_memory of (string * string) list  (** path -> body *)
+  | In_memory of (string * string) list
+      (** path -> body; each page's 200 reply is rendered once when the
+          server is created, and the first binding of a path wins *)
   | Via_vfs of Ukvfs.Vfs.t  (** open/read/close through vfscore *)
   | Via_shfs of Ukvfs.Shfs.t  (** direct hash-filesystem lookups *)
 

@@ -126,7 +126,6 @@ let dev_of_side name s =
                           s.st with
                           rx_pkts = s.st.rx_pkts + 1;
                           rx_bytes = s.st.rx_bytes + Netbuf.len nb;
-                          rx_digest = Netdev.fold_digest s.st.rx_digest nb;
                         }
                     in
                     match conf.Netdev.rx_path with

@@ -18,7 +18,7 @@
    phase can assert the hot path performs zero copies. *)
 
 type cell = {
-  buf : bytes;
+  mutable buf : bytes; (* empty until a pooled cell's first take *)
   hroom : int;
   cid : int; (* unique cell id *)
   mutable refs : int; (* live descriptors onto this storage *)
@@ -96,9 +96,9 @@ let fresh_cid () =
   incr next_cid;
   !next_cid
 
-let mk_cell ~headroom ~size =
+let mk_cell ~headroom buf =
   {
-    buf = Bytes.create (headroom + size);
+    buf;
     hroom = headroom;
     cid = fresh_cid ();
     refs = 0;
@@ -117,7 +117,7 @@ let check t =
 
 let alloc ?(headroom = 64) ~size () =
   if size < 0 || headroom < 0 then invalid_arg "Netbuf.alloc";
-  descr (mk_cell ~headroom ~size)
+  descr (mk_cell ~headroom (Bytes.create (headroom + size)))
 
 let data t = t.cell.buf
 let offset t = t.off
@@ -200,17 +200,6 @@ let copy ?headroom t =
 let to_payload = copy_out
 let blit_payload = copy_in
 
-(* Content hash of the payload window (FNV-1a): replay digests and the
-   copy-vs-zero-copy equivalence property compare these, never the bytes
-   themselves, so hashing is copy-free by construction. *)
-let payload_hash t =
-  check t;
-  let h = ref 0x2545f4914f6cdd1d in
-  for i = t.off to t.off + t.length - 1 do
-    h := (!h lxor Char.code (Bytes.unsafe_get t.cell.buf i)) * 0x100000001b3
-  done;
-  !h land max_int
-
 (* --- sharing and release -------------------------------------------------- *)
 
 let share t =
@@ -260,13 +249,23 @@ module Pool = struct
         | Some addr -> addr
         | None -> invalid_arg "Netbuf.Pool.create: allocator exhausted")
 
+  (* The reservation (cell id, backing address, [total]) is eager; the
+     host bytes are not: a cell gets them on its first take, so a pool
+     sized for the worst case costs host memory only for the cells the
+     run actually touches. *)
   let add_cell p =
-    let c = mk_cell ~headroom:p.headroom ~size:p.size in
+    let c = mk_cell ~headroom:p.headroom Bytes.empty in
     c.home <- Some p;
     c.pooled <- true;
     Hashtbl.replace p.owned c.cid (backing p);
     Stack.push c p.free;
     p.total <- p.total + 1
+
+  (* Pool sizes are positive, so only a never-taken cell has empty bytes. *)
+  let issue p c =
+    c.pooled <- false;
+    if Bytes.length c.buf = 0 then c.buf <- Bytes.create (p.headroom + p.size);
+    descr c
 
   let create ~clock ?alloc ?on_op ?(headroom = 64) ?(elastic = false) ~count ~size () =
     if count <= 0 || size <= 0 then invalid_arg "Netbuf.Pool.create";
@@ -301,16 +300,12 @@ module Pool = struct
       pool_return p c
     done;
     match Stack.pop_opt p.free with
-    | Some c ->
-        c.pooled <- false;
-        Some (descr c)
+    | Some c -> Some (issue p c)
     | None ->
         if p.elastic then begin
           Uksim.Clock.advance clock Uksim.Cost.alloc_backend_op;
           add_cell p;
-          let c = Stack.pop p.free in
-          c.pooled <- false;
-          Some (descr c)
+          Some (issue p (Stack.pop p.free))
         end
         else None
 

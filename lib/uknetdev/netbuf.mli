@@ -53,9 +53,6 @@ val view : t -> bytes * int * int
 (** Zero-copy [(storage, off, len)] window onto the payload. The reader
     must not retain it past the descriptor's ownership. *)
 
-val payload_hash : t -> int
-(** FNV-1a over the payload window — content digests without copying. *)
-
 (** {1 Counted copies}
 
     The only ways to materialize payload bytes; each increments the
@@ -124,7 +121,9 @@ module Pool : sig
     size:int ->
     unit ->
     t
-  (** Pre-allocate [count] cells of [size] payload bytes. [alloc] backs
+  (** Reserve [count] cells of [size] payload bytes (ids, backing
+      addresses and {!total} are fixed here; a cell's host storage is
+      allocated on its first {!take}). [alloc] backs
       each cell with a real allocation from that ukalloc backend (the
       per-core magazine integration). [on_op] runs before every take/give
       with the charging clock — the shared-pool ablation passes a spinlock

@@ -16,7 +16,6 @@ type stats = {
   tx_kicks : int;
   rx_pkts : int;
   rx_bytes : int;
-  rx_digest : int;
   rx_irqs : int;
   rx_dropped : int;
 }
@@ -34,10 +33,8 @@ type t = {
 }
 
 let zero_stats =
-  { tx_pkts = 0; tx_bytes = 0; tx_kicks = 0; rx_pkts = 0; rx_bytes = 0; rx_digest = 0;
+  { tx_pkts = 0; tx_bytes = 0; tx_kicks = 0; rx_pkts = 0; rx_bytes = 0;
     rx_irqs = 0; rx_dropped = 0 }
-
-let fold_digest d nb = (d * 0x100000001b3) lxor Netbuf.payload_hash nb land max_int
 
 let pp_stats ppf s =
   Fmt.pf ppf "tx %d pkts/%d B (%d kicks), rx %d pkts/%d B (%d irqs, %d dropped)" s.tx_pkts

@@ -42,9 +42,6 @@ type stats = {
       (** doorbells/backend notifications (VM exits for vhost-net) *)
   rx_pkts : int;
   rx_bytes : int;
-  rx_digest : int;
-      (** FNV fold over received frame contents in delivery order — the
-          replay/equivalence fingerprint of this device's ingress *)
   rx_irqs : int;
   rx_dropped : int;  (** ring overflow or rx buffer exhaustion *)
 }
@@ -69,8 +66,5 @@ type t = {
 }
 
 val zero_stats : stats
-
-val fold_digest : int -> Netbuf.t -> int
-(** One step of the rx_digest fold (exposed for drivers). *)
 
 val pp_stats : Format.formatter -> stats -> unit

@@ -173,7 +173,6 @@ let create ~clock ~engine ~backend ~wire ?(ring_size = 256) ?(n_queues = 1) () =
                       t.st with
                       rx_pkts = t.st.rx_pkts + 1;
                       rx_bytes = t.st.rx_bytes + Netbuf.len nb;
-                      rx_digest = Netdev.fold_digest t.st.rx_digest nb;
                     }
                 in
                 match conf.rx_path with

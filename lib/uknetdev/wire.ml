@@ -10,7 +10,6 @@ type endpoint = {
   mutable line_free_at : int; (* serialization: next cycle the line is free *)
   mutable rx_frames : int;
   mutable rx_bytes : int;
-  mutable rx_digest : int;
   mutable tx_frames : int;
   mutable dropped : int;
 }
@@ -29,7 +28,6 @@ let make engine ~latency_ns ~bandwidth_gbps ~loss ~duplicate ~rng =
     line_free_at = 0;
     rx_frames = 0;
     rx_bytes = 0;
-    rx_digest = 0;
     tx_frames = 0;
     dropped = 0;
   }
@@ -48,7 +46,6 @@ let create_pair ~engine ?(latency_ns = 5000.0) ?(bandwidth_gbps = 10.0) ?(loss =
 let deliver ep nb =
   ep.rx_frames <- ep.rx_frames + 1;
   ep.rx_bytes <- ep.rx_bytes + Netbuf.len nb;
-  ep.rx_digest <- (ep.rx_digest * 0x100000001b3) lxor Netbuf.payload_hash nb land max_int;
   match ep.receiver with Some f -> f nb | None -> Netbuf.recycle nb
 
 let rec transmit ep peer nb =
@@ -94,7 +91,6 @@ let set_receiver_bytes ep f =
 
 let rx_frames ep = ep.rx_frames
 let rx_bytes ep = ep.rx_bytes
-let rx_digest ep = ep.rx_digest
 let tx_frames ep = ep.tx_frames
 
 let dropped_frames ep = ep.dropped
@@ -102,6 +98,5 @@ let dropped_frames ep = ep.dropped
 let reset_counters ep =
   ep.rx_frames <- 0;
   ep.rx_bytes <- 0;
-  ep.rx_digest <- 0;
   ep.tx_frames <- 0;
   ep.dropped <- 0

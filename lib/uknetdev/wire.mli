@@ -52,8 +52,5 @@ val attach_echo : endpoint -> unit
 val rx_frames : endpoint -> int
 val rx_bytes : endpoint -> int
 
-val rx_digest : endpoint -> int
-(** Running FNV fold over delivered frame contents (replay checks). *)
-
 val tx_frames : endpoint -> int
 val reset_counters : endpoint -> unit

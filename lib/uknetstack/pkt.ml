@@ -193,7 +193,7 @@ end
 
 let pseudo_sum ~src ~dst ~proto ~len =
   let s = Addr.Ipv4.to_int src and d = Addr.Ipv4.to_int dst in
-  W.sum_words [ s lsr 16; s land 0xffff; d lsr 16; d land 0xffff; proto; len ]
+  W.fold_carries ((s lsr 16) + (s land 0xffff) + (d lsr 16) + (d land 0xffff) + proto + len)
 
 module Udp = struct
   type t = { src_port : int; dst_port : int }

@@ -10,10 +10,12 @@ val set_u32 : bytes -> int -> int -> unit
 
 val checksum : ?initial:int -> bytes -> off:int -> len:int -> int
 (** RFC 1071 one's-complement sum, finalized (complemented, 16-bit).
-    [initial] is an un-complemented partial sum (e.g. a pseudo-header). *)
+    [initial] is a non-negative un-complemented partial sum (e.g. a
+    pseudo-header). Raises [Invalid_argument] unless [off, off+len) lies
+    within the buffer. *)
 
 val partial_sum : ?initial:int -> bytes -> off:int -> len:int -> int
 (** Un-finalized running sum, for pseudo-header composition. *)
 
-val sum_words : int list -> int
-(** Partial sum over 16-bit words given as ints. *)
+val fold_carries : int -> int
+(** End-around carry fold of a non-negative sum down to 16 bits. *)

@@ -18,7 +18,7 @@ let after t d f =
 
 let after_ns t d = after t (Clock.cycles_of_ns d)
 let pending t = Heapq.length t.queue
-let next_at t = match Heapq.peek t.queue with Some (cycle, _) -> Some cycle | None -> None
+let next_cycle t = Heapq.min_key t.queue
 
 let step t =
   match Heapq.pop t.queue with
@@ -37,13 +37,12 @@ let step t =
 let rec run ?until t =
   match until with
   | None -> if step t then run t
-  | Some limit -> (
-      match Heapq.peek t.queue with
-      | Some (cycle, _) when cycle <= limit ->
-          ignore (step t);
-          run ~until:limit t
-      | Some _ | None ->
-          if Clock.cycles t.clock < limit then
-            Clock.advance t.clock (limit - Clock.cycles t.clock))
+  | Some limit ->
+      if (not (Heapq.is_empty t.queue)) && Heapq.min_key t.queue <= limit then begin
+        ignore (step t);
+        run ~until:limit t
+      end
+      else if Clock.cycles t.clock < limit then
+        Clock.advance t.clock (limit - Clock.cycles t.clock)
 
 let run_for_ns t d = run ~until:(Clock.cycles t.clock + Clock.cycles_of_ns d) t

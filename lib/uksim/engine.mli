@@ -23,10 +23,10 @@ val after_ns : t -> float -> (unit -> unit) -> unit
 val pending : t -> int
 (** Number of scheduled, not-yet-run events. *)
 
-val next_at : t -> int option
-(** Absolute cycle of the earliest queued event, if any. Lets a
-    coordinator (e.g. the uksmp multicore loop) order several engines on
-    one time axis without popping. *)
+val next_cycle : t -> int
+(** Absolute cycle of the earliest queued event, [max_int] when none. Lets
+    a coordinator (e.g. the uksmp multicore loop) order several engines on
+    one time axis without popping or allocating. *)
 
 val step : t -> bool
 (** Run the next event, if any; [true] if one ran. *)

@@ -66,7 +66,7 @@ let pop h =
     Some (top.key, top.value)
   end
 
-let peek h = if h.size = 0 then None else Some (h.data.(0).key, h.data.(0).value)
+let min_key h = if h.size = 0 then max_int else h.data.(0).key
 
 let clear h =
   h.size <- 0;

@@ -13,5 +13,7 @@ val push : 'a t -> int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the minimum entry. *)
 
-val peek : 'a t -> (int * 'a) option
+val min_key : 'a t -> int
+(** Key of the minimum entry, [max_int] when empty; allocates nothing. *)
+
 val clear : 'a t -> unit

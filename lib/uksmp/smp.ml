@@ -197,42 +197,46 @@ let try_steal t thief =
           end
      end
 
-(* Earliest time [c] could act: now if it has a ready thread, else its
-   next event (no earlier than its local present), else never. *)
-let next_action c =
-  if Uksched.Sched.runnable c.sched > 0 then Some (Uksim.Clock.cycles c.clock)
+(* Earliest cycle [c] could act: now if it has a ready thread, else its
+   next event (no earlier than its local present), else [max_int] (never). *)
+let next_cycle c =
+  let now = Uksim.Clock.cycles c.clock in
+  if Uksched.Sched.runnable c.sched > 0 then now
   else
-    match Uksim.Engine.next_at c.engine with
-    | Some cyc -> Some (Stdlib.max cyc (Uksim.Clock.cycles c.clock))
-    | None -> None
+    let cyc = Uksim.Engine.next_cycle c.engine in
+    if cyc > now then cyc else now
 
 let run t =
+  let n = Array.length t.cores in
   let rec loop () =
     (* Fully idle cores attempt one steal each, in id order. *)
-    Array.iter
-      (fun c -> if next_action c = None then ignore (try_steal t c))
-      t.cores;
-    let best = ref None in
-    Array.iter
-      (fun c ->
-        match (next_action c, !best) with
-        | Some at, Some (bat, _) when at < bat -> best := Some (at, c)
-        | Some at, None -> best := Some (at, c)
-        | Some _, Some _ | None, _ -> ())
-      t.cores;
+    for i = 0 to n - 1 do
+      let c = t.cores.(i) in
+      if next_cycle c = max_int then ignore (try_steal t c)
+    done;
+    (* The earliest action wins; [<] keeps ties on the lowest id. *)
+    let best = ref (-1) and bat = ref max_int in
+    for i = 0 to n - 1 do
+      let at = next_cycle t.cores.(i) in
+      if at < !bat then begin
+        bat := at;
+        best := i
+      end
+    done;
     (* Cores tied for the earliest action are a per-core step-order
        decision point (default: lowest id, i.e. the first tied core). *)
-    (match (!best, t.decider) with
-    | Some (bat, _), Some _ ->
-        let tied =
-          Array.to_list t.cores |> List.filter (fun c -> next_action c = Some bat)
-        in
-        if List.length tied >= 2 then
-          best :=
-            Some (bat, List.nth tied (decide t ~kind:"step_core" ~arity:(List.length tied)))
-    | (Some _ | None), _ -> ());
+    (if !best >= 0 && Option.is_some t.decider then
+       let tied = List.filter (fun i -> next_cycle t.cores.(i) = !bat) (List.init n Fun.id) in
+       let arity = List.length tied in
+       if arity >= 2 then best := List.nth tied (decide t ~kind:"step_core" ~arity));
     match !best with
-    | Some (_, c) ->
+    | -1 -> (
+        let stuck =
+          Array.fold_left (fun acc c -> acc @ Uksched.Sched.stuck c.sched) [] t.cores
+        in
+        match stuck with [] -> () | names -> raise (Uksched.Sched.Deadlock names))
+    | i ->
+        let c = t.cores.(i) in
         t.running <- Some c.id;
         let c0 = Uksim.Clock.cycles c.clock in
         let progressed = Uksched.Sched.step c.sched in
@@ -245,10 +249,5 @@ let run t =
           | None -> ()
         end;
         loop ()
-    | None -> (
-        let stuck =
-          Array.fold_left (fun acc c -> acc @ Uksched.Sched.stuck c.sched) [] t.cores
-        in
-        match stuck with [] -> () | names -> raise (Uksched.Sched.Deadlock names))
   in
   loop ()

@@ -25,6 +25,18 @@ sys.exit(1 if r.returncode != 0 or mb > 256 else 0)
   exit 1
 }
 
+echo "== test-suite memory (whole test_main.exe run) =="
+python3 -c '
+import resource, subprocess, sys
+r = subprocess.run(["_build/default/test/test_main.exe"], stdout=subprocess.DEVNULL)
+mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"test_main.exe peak RSS: {mb:.0f} MB (gate: <= 640 MB)")
+sys.exit(1 if r.returncode != 0 or mb > 640 else 0)
+' || {
+  echo "FAIL: test suite failed or peaked above 640 MB (netbuf pool cells must allocate on first take)"
+  exit 1
+}
+
 echo "== benchmark self-test (perfbench checks, fixed seeds) =="
 python3 perfbench/selftest.py
 

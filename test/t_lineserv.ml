@@ -2,8 +2,9 @@
    under its four services: the straddle stash and the socket tail give
    the same replies however the request stream is segmented, on both
    datapaths; the unconsumed-byte bound closes a peer that never ends a
-   frame without disturbing its neighbours; and hostile RESP frames get
-   one protocol error on both datapaths. *)
+   frame without disturbing its neighbours; hostile RESP frames get
+   one protocol error on both datapaths; and httpd's reply bytes and
+   per-request clock charge are pinned exactly. *)
 
 module Cl = Ukapps.Cluster
 module S = Uknetstack.Stack
@@ -39,15 +40,15 @@ let fixed_replies ~reply_len ~n ~status s =
 
 let pages = [ ("/index.html", Ukapps.Httpd.default_page); ("/a.txt", "tiny") ]
 
+let add_httpd content c ~fast =
+  ignore (if fast then Cl.add_httpd_fast c content else Cl.add_httpd c content)
+
 let httpd =
   let paths = List.init 60 (fun i -> [| "/index.html"; "/a.txt"; "/nope" |].(i mod 3)) in
   {
     label = "httpd";
     port = 80;
-    add =
-      (fun c ~fast ->
-        let content = Ukapps.Httpd.In_memory pages in
-        ignore (if fast then Cl.add_httpd_fast c content else Cl.add_httpd c content));
+    add = add_httpd (Ukapps.Httpd.In_memory pages);
     frames = List.map (Printf.sprintf "GET %s HTTP/1.1\r\nHost: t\r\n\r\n") paths;
     junk = (fun n -> String.make n 'a');
     check =
@@ -299,6 +300,62 @@ let test_resp_hostile_frames () =
         hostile_frames)
     [ false; true ]
 
+(* --- httpd's replies and per-request charge ------------------------------------ *)
+
+let http_reply status body =
+  Printf.sprintf "HTTP/1.1 %s\r\nServer: ukraft\r\nContent-Length: %d\r\nConnection: keep-alive\r\n\r\n%s"
+    status (String.length body) body
+
+let http_requests =
+  List.map (Printf.sprintf "%s HTTP/1.1\r\nHost: t\r\n\r\n")
+    [ "GET /index.html"; "GET /a.txt"; "GET /nope"; "BREW /pot" ]
+
+(* A 200 per page, the first binding of a duplicate path winning, and the
+   404 and 400 replies, byte for byte on both datapaths. *)
+let test_httpd_reply_bytes () =
+  let svc =
+    { httpd with add = add_httpd (Ukapps.Httpd.In_memory (pages @ [ ("/a.txt", "shadowed") ])) }
+  in
+  let expect =
+    String.concat ""
+      [
+        http_reply "200 OK" Ukapps.Httpd.default_page;
+        http_reply "200 OK" "tiny";
+        http_reply "404 Not Found" "not found";
+        http_reply "400 Bad Request" "bad request";
+      ]
+  in
+  List.iter
+    (fun fast -> Alcotest.(check string) (datapath fast) expect (exchange svc ~fast http_requests))
+    [ false; true ]
+
+(* Cycles inside each socket-build "http_request" span: parse, the
+   per-request pool, the body memcpy and respond, in request order. *)
+let test_httpd_socket_charge () =
+  let tr = Uktrace.Tracer.default in
+  Uktrace.Tracer.reset tr;
+  Uktrace.Tracer.set_enabled tr true;
+  let events =
+    Fun.protect
+      ~finally:(fun () ->
+        Uktrace.Tracer.set_enabled tr false;
+        Uktrace.Tracer.reset tr)
+      (fun () ->
+        ignore (exchange httpd ~fast:false http_requests);
+        Uktrace.Tracer.events tr)
+  in
+  let charges, _ =
+    List.fold_left
+      (fun (acc, start) (e : Uktrace.Tracer.event) ->
+        match e.ph with
+        | _ when e.name <> "http_request" -> (acc, start)
+        | Uktrace.Tracer.B -> (acc, e.ts)
+        | Uktrace.Tracer.E -> ((e.ts - start) :: acc, start)
+        | Uktrace.Tracer.I -> (acc, start))
+      ([], 0) events
+  in
+  Alcotest.(check (list int)) "cycles per request" [ 2371; 973; 968; 968 ] (List.rev charges)
+
 let suite =
   [
     Alcotest.test_case "replies do not depend on segmentation (4 services x 2 paths)"
@@ -307,4 +364,8 @@ let suite =
       test_pending_bound;
     Alcotest.test_case "hostile RESP frames get one protocol error (2 paths)" `Quick
       test_resp_hostile_frames;
+    Alcotest.test_case "httpd reply bytes: 200 per page, first binding, 404, 400 (2 paths)"
+      `Quick test_httpd_reply_bytes;
+    Alcotest.test_case "httpd socket build: clock charge per request" `Quick
+      test_httpd_socket_charge;
   ]

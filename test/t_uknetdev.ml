@@ -53,8 +53,13 @@ let test_pool () =
 let test_pool_backed_by_allocator () =
   let clock, _ = env () in
   let alloc = Ukalloc.Tlsf.create ~clock ~base:(1 lsl 20) ~len:(1 lsl 20) in
-  let _ = Nb.Pool.create ~clock ~alloc ~count:16 ~size:1500 () in
-  Alcotest.(check int) "backing allocations made" 16 ((alloc.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.allocs)
+  let p = Nb.Pool.create ~clock ~alloc ~count:16 ~size:1500 () in
+  (* The reservation is eager even though host storage waits for a take. *)
+  Alcotest.(check int) "backing allocations made" 16 ((alloc.Ukalloc.Alloc.stats ()).Ukalloc.Alloc.allocs);
+  Alcotest.(check int) "every cell reserved" 16 (Nb.Pool.total p);
+  let b = Option.get (Nb.Pool.take p) in
+  Alcotest.(check int) "a taken cell has its storage" (64 + 1500) (Bytes.length (Nb.data b));
+  Alcotest.(check int) "capacity" 1500 (Nb.capacity b)
 
 let test_wire_delivery () =
   let clock, engine = env () in

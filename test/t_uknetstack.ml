@@ -40,6 +40,55 @@ let test_checksum_odd_length () =
   let c = W.checksum b ~off:0 ~len:3 in
   Alcotest.(check bool) "16-bit" true (c >= 0 && c <= 0xffff)
 
+(* Reference RFC 1071 sum: one big-endian byte pair per step, odd byte
+   padded with zero, carries folded at the end. The word-at-a-time
+   [W.partial_sum] must agree with it bit for bit. *)
+let ref_partial_sum ~initial b ~off ~len =
+  let s = ref initial and i = ref off in
+  while !i + 1 < off + len do
+    s := !s + (Char.code (Bytes.get b !i) lsl 8) + Char.code (Bytes.get b (!i + 1));
+    i := !i + 2
+  done;
+  if !i < off + len then s := !s + (Char.code (Bytes.get b !i) lsl 8);
+  let rec fold s = if s > 0xffff then fold ((s land 0xffff) + (s lsr 16)) else s in
+  fold !s
+
+let checksum_matches_reference_prop =
+  QCheck.Test.make ~name:"word-at-a-time checksum equals the byte-pair reference" ~count:500
+    QCheck.(
+      quad (string_of_size (Gen.int_range 0 1600)) small_nat small_nat
+        (int_range 0 0x3fff_ffff))
+    (fun (s, a, c, initial) ->
+      let b = Bytes.of_string s in
+      let n = Bytes.length b in
+      let off = a mod (n + 1) in
+      let room = n - off in
+      (* One draw in four is a length of 0-3; the rest cover the window. *)
+      let len = if c mod 4 = 0 then min (c / 4 mod 4) room else c mod (room + 1) in
+      ref_partial_sum ~initial b ~off ~len = W.partial_sum ~initial b ~off ~len
+      && lnot (ref_partial_sum ~initial:0 b ~off ~len) land 0xffff = W.checksum b ~off ~len)
+
+let test_checksum_short_and_bounds () =
+  let b = Bytes.of_string "\xff\xfe\x01\x80\x7f" in
+  for off = 0 to 5 do
+    for len = 0 to 5 - off do
+      List.iter
+        (fun initial ->
+          Alcotest.(check int)
+            (Printf.sprintf "off %d len %d initial %d" off len initial)
+            (ref_partial_sum ~initial b ~off ~len) (W.partial_sum ~initial b ~off ~len))
+        [ 0; 1; 0xffff; 0x1_0000; 0x3fff_ffff ]
+    done
+  done;
+  let raises name off len =
+    Alcotest.check_raises name (Invalid_argument "Wire_fmt.partial_sum") (fun () ->
+        ignore (W.checksum b ~off ~len))
+  in
+  raises "negative offset" (-1) 2;
+  raises "negative length" 0 (-1);
+  raises "past the end" 4 2;
+  raises "offset past the end" 6 0
+
 let test_eth_roundtrip () =
   let nb = Nb.of_bytes (Bytes.of_string "data") in
   let hdr = { P.Eth.dst = A.Mac.of_int 0x112233445566; src = A.Mac.of_int 0x665544332211;
@@ -631,6 +680,8 @@ let suite =
     Alcotest.test_case "ipv4 addresses" `Quick test_ipv4_addr;
     Alcotest.test_case "rfc1071 checksum" `Quick test_checksum_rfc1071;
     Alcotest.test_case "checksum odd length" `Quick test_checksum_odd_length;
+    QCheck_alcotest.to_alcotest checksum_matches_reference_prop;
+    Alcotest.test_case "checksum short lengths and bounds" `Quick test_checksum_short_and_bounds;
     Alcotest.test_case "ethernet roundtrip" `Quick test_eth_roundtrip;
     Alcotest.test_case "arp roundtrip" `Quick test_arp_roundtrip;
     Alcotest.test_case "ipv4 roundtrip" `Quick test_ipv4_roundtrip;

@@ -112,12 +112,17 @@ let test_engine_until () =
   let fired = ref 0 in
   Engine.after e 100 (fun () -> incr fired);
   Engine.after e 300 (fun () -> incr fired);
+  Alcotest.(check int) "next cycle" 100 (Engine.next_cycle e);
   Engine.run ~until:200 e;
   Alcotest.(check int) "only first fired" 1 !fired;
   Alcotest.(check int) "clock advanced to limit" 200 (Clock.cycles c);
   Alcotest.(check int) "one pending" 1 (Engine.pending e);
+  Alcotest.(check int) "next cycle after the limit" 300 (Engine.next_cycle e);
   Engine.run e;
-  Alcotest.(check int) "second fired" 2 !fired
+  Alcotest.(check int) "second fired" 2 !fired;
+  Alcotest.(check int) "empty queue: never" max_int (Engine.next_cycle e);
+  Engine.run ~until:max_int e;
+  Alcotest.(check int) "empty run to max_int stops" max_int (Clock.cycles c)
 
 let test_engine_cascade () =
   let c = Clock.create () in

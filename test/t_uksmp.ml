@@ -124,6 +124,18 @@ let test_cluster_determinism () =
   Alcotest.(check (float 0.0)) "cluster rate" r1 r2;
   Alcotest.(check int) "no errors" 0 (e1 + e2)
 
+(* A seeded 2+2-core httpd fast-path run replays to one fixed trace hash:
+   the value core selection, the netstack and httpd produced before the
+   data plane's host-cost work, so that work moved no virtual event. *)
+let test_cluster_fast_hash_pinned () =
+  let c = Cluster.create ~seed:5 ~fastpath:Cluster.fastpath_default ~n:2 () in
+  ignore
+    (Cluster.add_httpd_fast c
+       (Ukapps.Httpd.In_memory [ ("/index.html", Ukapps.Httpd.default_page) ]));
+  let r = Cluster.run_httpd_load_fast c ~connections_per_core:2 ~requests_per_core:100 () in
+  Alcotest.(check int) "no errors" 0 r.Ukapps.Wrk.errors;
+  Alcotest.(check int) "trace hash" 3553423478503219035 (Cluster.trace_hash c)
+
 (* --- RSS ----------------------------------------------------------------- *)
 
 let test_rss_stability () =
@@ -333,6 +345,8 @@ let suite =
     Alcotest.test_case "smp: pinned threads never stolen" `Quick test_pinned_never_stolen;
     Alcotest.test_case "smp: trace determinism across runs" `Quick test_trace_determinism;
     Alcotest.test_case "cluster: same-seed replay is identical" `Quick test_cluster_determinism;
+    Alcotest.test_case "cluster: httpd fast-path trace hash is pinned" `Quick
+      test_cluster_fast_hash_pinned;
     Alcotest.test_case "rss: stable and symmetric" `Quick test_rss_stability;
     Alcotest.test_case "rss: spreads over queues" `Quick test_rss_spread;
     Alcotest.test_case "rss: frame parsing" `Quick test_rss_frame_parsing;
