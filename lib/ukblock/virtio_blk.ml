@@ -6,6 +6,9 @@ let guest_req_cost = 140
 let kick_cost = Uksim.Cost.vm_exit
 let irq_cost = Uksim.Cost.interrupt_delivery
 
+(* A synchronous wait polls the completion queue on this grid. *)
+let poll_step = 500
+
 let sector_size = 512
 
 (* The medium is a table of fixed-size pages, each allocated on its
@@ -148,12 +151,19 @@ let create ~clock ~engine ?(capacity_sectors = 131072) ?(queue_depth = 128)
     take_completions backing ~max
   in
   let wait_one () =
-    (* Synchronous convenience: spin virtual time until a completion. *)
+    (* Synchronous convenience: poll every [poll_step] cycles of virtual
+       time until a completion. A poll before the engine's next event
+       finds nothing, so jump straight to the first poll point at or
+       after it: the same polls that would run, without the empty
+       ones. An event already due (an earlier one ran long) waits for
+       the next poll, as before. *)
     let rec go () =
       match poll_completions ~max:1 with
       | [ c ] -> c
       | _ ->
-          Uksim.Clock.advance clock 500;
+          let next = Uksim.Engine.next_cycle engine in
+          let ahead = if next = max_int then 1 else next - Uksim.Clock.cycles clock in
+          Uksim.Clock.advance clock (poll_step * max 1 ((ahead + poll_step - 1) / poll_step));
           go ()
     in
     go ()

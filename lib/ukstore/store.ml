@@ -115,6 +115,11 @@ let source =
 
 (* --- store state ----------------------------------------------------------- *)
 
+(* A journaled object awaiting checkpoint: its frame is the [len] bytes
+   at [off] in the record payload it was journaled (or replayed) in, and
+   its data-area home is [lba]. Checkpoint writes those same bytes. *)
+type pending = { p_hash : hash; p_lba : int; payload : string; off : int; len : int }
+
 type t = {
   clock : Uksim.Clock.t;
   dev : B.t;
@@ -123,7 +128,7 @@ type t = {
   cache : (hash, Tree.obj) Hashtbl.t;
   locs : (hash, int * int) Hashtbl.t; (* object -> (lba, frame bytes) *)
   durable : (hash, unit) Hashtbl.t; (* journaled or checkpointed *)
-  mutable unckpt : hash list; (* journal-only objects, oldest first *)
+  unckpt : pending Queue.t; (* journal-only objects, oldest first *)
   mutable head : hash; (* last durable commit, null before the first *)
   mutable root : hash; (* working tree (may be ahead of head) *)
   mutable epoch : int;
@@ -131,13 +136,17 @@ type t = {
   mutable applied_seq : int; (* folded into the current root slot *)
   mutable jsector : int; (* next free journal sector, ring-relative *)
   mutable data_head : int; (* next free absolute data-area lba *)
-  mutable st : stats;
+  mutable st : stats; (* every field but the cache counters below *)
+  mutable hits : int;
+  mutable misses : int;
+  body : Buffer.t; (* scratch: one object's encoded body *)
+  record : Buffer.t; (* scratch: one commit's journal payload *)
   mutable src : Tree.src; (* object source the trie ops run against *)
 }
 
 let charge t c = Uksim.Clock.advance t.clock c
 let sectors_of t len = (len + t.dev.B.sector_size - 1) / t.dev.B.sector_size
-let stats t = t.st
+let stats t = { t.st with cache_hits = t.hits; cache_misses = t.misses }
 let head t = t.head
 let content_hash t = t.root
 let tree_depth t = t.src.Tree.depth_seen
@@ -149,74 +158,193 @@ let tree_depth t = t.src.Tree.depth_seen
    disk; the structural hash ignores the locations. Keys and commit
    messages are hex-encoded to survive the line format. *)
 
-let to_hex s =
-  let b = Buffer.create (String.length s * 2) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
-
-let of_hex s =
-  if String.length s mod 2 <> 0 then raise (Err Ukvfs.Fs.Eio);
-  try String.init (String.length s / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (i * 2) 2)))
-  with _ -> raise (Err Ukvfs.Fs.Eio)
+let eio () = raise (Err Ukvfs.Fs.Eio)
 
 let loc_of t h =
   if h = null then (0, 0)
   else match Hashtbl.find_opt t.locs h with
     | Some l -> l
-    | None -> raise (Err Ukvfs.Fs.Eio)
+    | None -> eio ()
 
-let encode_body t (o : Tree.obj) =
-  let b = Buffer.create 128 in
-  (match o with
+(* The encoder appends straight to a buffer, byte for byte what the
+   Printf conversions named beside each helper would render. *)
+
+let hex_digit = "0123456789abcdef"
+
+(* [%02x] per byte. *)
+let add_hex_bytes b s =
+  String.iter
+    (fun c ->
+      let c = Char.code c in
+      Buffer.add_char b hex_digit.[c lsr 4];
+      Buffer.add_char b hex_digit.[c land 15])
+    s
+
+(* [%016x]: the word read as unsigned, so a negative one shows its top
+   bit. *)
+let add_hex16 b h =
+  for i = 15 downto 0 do
+    Buffer.add_char b hex_digit.[(h lsr (4 * i)) land 15]
+  done
+
+(* [%d] *)
+let rec add_dec b n =
+  if n < 0 then Buffer.add_string b (string_of_int n)
+  else begin
+    if n >= 10 then add_dec b (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+  end
+
+(* [%08d]; negatives and values past eight digits take Printf's own
+   rendering. *)
+let add_dec8 b n =
+  if n < 0 || n >= 100_000_000 then Buffer.add_string b (Printf.sprintf "%08d" n)
+  else begin
+    let d = ref 10_000_000 in
+    while !d > 0 do
+      Buffer.add_char b (Char.unsafe_chr (48 + (n / !d mod 10)));
+      d := !d / 10
+    done
+  end
+
+(* [" %d %d"] of a child's (lba, frame bytes). *)
+let add_loc t b h =
+  let lba, len = loc_of t h in
+  Buffer.add_char b ' ';
+  add_dec b lba;
+  Buffer.add_char b ' ';
+  add_dec b len
+
+let add_body t b (o : Tree.obj) =
+  match o with
   | Tree.Blob v -> Buffer.add_string b v
   | Tree.Node (Tree.Leaf entries) ->
-      Buffer.add_string b (Printf.sprintf "L %d\n" (List.length entries));
+      (* "L %d\n", then per entry "%016x %d %d %s\n" *)
+      Buffer.add_string b "L ";
+      add_dec b (List.length entries);
+      Buffer.add_char b '\n';
       List.iter
         (fun (k, vh) ->
-          let lba, len = loc_of t vh in
-          Buffer.add_string b (Printf.sprintf "%016x %d %d %s\n" vh lba len (to_hex k)))
+          add_hex16 b vh;
+          add_loc t b vh;
+          Buffer.add_char b ' ';
+          add_hex_bytes b k;
+          Buffer.add_char b '\n')
         entries
   | Tree.Node (Tree.Branch (n, kids)) ->
-      Buffer.add_string b (Printf.sprintf "T %d %d\n" n (List.length kids));
+      (* "T %d %d\n", then per child "%d %016x %d %d\n" *)
+      Buffer.add_string b "T ";
+      add_dec b n;
+      Buffer.add_char b ' ';
+      add_dec b (List.length kids);
+      Buffer.add_char b '\n';
       List.iter
         (fun (nb, ch) ->
-          let lba, len = loc_of t ch in
-          Buffer.add_string b (Printf.sprintf "%d %016x %d %d\n" nb ch lba len))
+          add_dec b nb;
+          Buffer.add_char b ' ';
+          add_hex16 b ch;
+          add_loc t b ch;
+          Buffer.add_char b '\n')
         kids
   | Tree.Commit { root; parents; msg } ->
-      let rlba, rlen = loc_of t root in
-      Buffer.add_string b
-        (Printf.sprintf "C %016x %d %d %d %s\n" root rlba rlen (List.length parents)
-           (to_hex msg));
+      (* "C %016x %d %d %d %s\n", then per parent "%016x %d %d\n" *)
+      Buffer.add_string b "C ";
+      add_hex16 b root;
+      add_loc t b root;
+      Buffer.add_char b ' ';
+      add_dec b (List.length parents);
+      Buffer.add_char b ' ';
+      add_hex_bytes b msg;
+      Buffer.add_char b '\n';
       List.iter
         (fun p ->
-          let plba, plen = loc_of t p in
-          Buffer.add_string b (Printf.sprintf "%016x %d %d\n" p plba plen))
-        parents);
-  Buffer.contents b
+          add_hex16 b p;
+          add_loc t b p;
+          Buffer.add_char b '\n')
+        parents
 
 let kind_of = function
   | Tree.Blob _ -> 'b'
   | Tree.Node _ -> 'n'
   | Tree.Commit _ -> 'c'
 
-(* [lba] is the frame's own home in the data area — embedded so journal
-   replay re-learns the assignment without a separate allocation map. *)
+(* Encode [o]'s body into the store's scratch buffer; returns the length
+   of the frame around it. *)
+let encode_body t o =
+  Buffer.clear t.body;
+  add_body t t.body o;
+  frame_header + Buffer.length t.body
+
+(* Append the frame whose body [encode_body] just encoded: the header
+   "o %016x %c %08d %08d\n", then the body. [lba] is the frame's own home
+   in the data area — embedded so journal replay re-learns the
+   assignment without a separate allocation map. *)
+let add_frame t b h o ~lba =
+  Buffer.add_string b "o ";
+  add_hex16 b h;
+  Buffer.add_char b ' ';
+  Buffer.add_char b (kind_of o);
+  Buffer.add_char b ' ';
+  add_dec8 b (Buffer.length t.body);
+  Buffer.add_char b ' ';
+  add_dec8 b lba;
+  Buffer.add_char b '\n';
+  Buffer.add_buffer b t.body
+
 let encode_frame t h o ~lba =
-  let body = encode_body t o in
-  Printf.sprintf "o %016x %c %08d %08d\n%s" h (kind_of o) (String.length body) lba body
+  let flen = encode_body t o in
+  let b = Buffer.create flen in
+  add_frame t b h o ~lba;
+  Buffer.contents b
 
-let frame_len body_len = frame_header + body_len
+(* The decoder is total: every field must read exactly as the encoder
+   writes it, and anything else is [Eio]. *)
 
-let int_of_hex s = try int_of_string ("0x" ^ s) with _ -> raise (Err Ukvfs.Fs.Eio)
-let int_of_dec s = try int_of_string s with _ -> raise (Err Ukvfs.Fs.Eio)
+let hex_val c =
+  match c with
+  | '0' .. '9' -> Char.code c - 48
+  | 'a' .. 'f' -> Char.code c - 87
+  | _ -> eio ()
+
+let dec_val c = match c with '0' .. '9' -> Char.code c - 48 | _ -> eio ()
+
+(* Sixteen hex digits at [pos]; a first digit above 7 does not fit the
+   63-bit word. *)
+let hex16_at s pos =
+  if pos + 16 > String.length s || s.[pos] > '7' then eio ();
+  let v = ref 0 in
+  for i = pos to pos + 15 do
+    v := (!v lsl 4) lor hex_val s.[i]
+  done;
+  !v
+
+(* [n] decimal digits at [pos]. *)
+let dec_at s pos n =
+  if pos + n > String.length s then eio ();
+  let v = ref 0 in
+  for i = pos to pos + n - 1 do
+    v := (!v * 10) + dec_val s.[i]
+  done;
+  !v
+
+let int_of_hex f = if String.length f <> 16 then eio () else hex16_at f 0
+
+(* A non-empty digit run, short enough that it cannot overflow. *)
+let int_of_dec f =
+  let n = String.length f in
+  if n = 0 || n > 18 then eio () else dec_at f 0 n
+
+let of_hex s =
+  let n = String.length s in
+  if n mod 2 <> 0 then eio ();
+  String.init (n / 2) (fun i ->
+      Char.unsafe_chr ((hex_val s.[2 * i] lsl 4) lor hex_val s.[(2 * i) + 1]))
 
 (* Split [s] into its first line (without '\n') and the offset just past
    it. *)
 let take_line s pos =
   match String.index_from_opt s pos '\n' with
-  | None -> raise (Err Ukvfs.Fs.Eio)
+  | None -> eio ()
   | Some nl -> (String.sub s pos (nl - pos), nl + 1)
 
 let note_loc t h lba len = if h <> null && len > 0 then Hashtbl.replace t.locs h (lba, len)
@@ -224,15 +352,16 @@ let note_loc t h lba len = if h <> null && len > 0 then Hashtbl.replace t.locs h
 (* Decode one frame starting at [pos]; registers child locations as a
    side effect and returns (hash, obj, own lba, frame bytes, next pos). *)
 let decode_frame t s pos =
-  if pos + frame_header > String.length s then raise (Err Ukvfs.Fs.Eio);
-  let hdr = String.sub s pos frame_header in
-  if String.length hdr <> frame_header || hdr.[0] <> 'o' || hdr.[frame_header - 1] <> '\n' then
-    raise (Err Ukvfs.Fs.Eio);
-  let h = int_of_hex (String.sub hdr 2 16) in
-  let kind = hdr.[19] in
-  let blen = int_of_dec (String.sub hdr 21 8) in
-  let lba = int_of_dec (String.sub hdr 30 8) in
-  if pos + frame_header + blen > String.length s then raise (Err Ukvfs.Fs.Eio);
+  if pos + frame_header > String.length s then eio ();
+  if
+    s.[pos] <> 'o' || s.[pos + 1] <> ' ' || s.[pos + 18] <> ' ' || s.[pos + 20] <> ' '
+    || s.[pos + 29] <> ' ' || s.[pos + frame_header - 1] <> '\n'
+  then eio ();
+  let h = hex16_at s (pos + 2) in
+  let kind = s.[pos + 19] in
+  let blen = dec_at s (pos + 21) 8 in
+  let lba = dec_at s (pos + 30) 8 in
+  if pos + frame_header + blen > String.length s then eio ();
   let body = String.sub s (pos + frame_header) blen in
   let obj =
     match kind with
@@ -301,12 +430,12 @@ let decode_frame t s pos =
 let load_obj t h =
   match Hashtbl.find_opt t.cache h with
   | Some o ->
-      t.st <- { t.st with cache_hits = t.st.cache_hits + 1 };
+      t.hits <- t.hits + 1;
       g.g_cache_hits <- g.g_cache_hits + 1;
       charge t node_cost;
       o
   | None -> (
-      t.st <- { t.st with cache_misses = t.st.cache_misses + 1 };
+      t.misses <- t.misses + 1;
       g.g_cache_misses <- g.g_cache_misses + 1;
       match Hashtbl.find_opt t.locs h with
       | None -> raise (Err Ukvfs.Fs.Eio)
@@ -397,8 +526,10 @@ let default_journal_sectors = 256
 let mk ~clock dev ~jcap =
   let t =
     { clock; dev; jstart = 2; jcap; cache = Hashtbl.create 256; locs = Hashtbl.create 256;
-      durable = Hashtbl.create 256; unckpt = []; head = null; root = null; epoch = 0;
-      next_seq = 1; applied_seq = 0; jsector = 0; data_head = 2 + jcap; st = zero_stats;
+      durable = Hashtbl.create 256; unckpt = Queue.create (); head = null; root = null;
+      epoch = 0; next_seq = 1; applied_seq = 0; jsector = 0; data_head = 2 + jcap;
+      st = zero_stats; hits = 0; misses = 0; body = Buffer.create 256;
+      record = Buffer.create 4096;
       src = { Tree.get = (fun _ -> assert false); put = (fun _ -> assert false); depth_seen = 0 } }
   in
   t.src <- mk_src t;
@@ -454,36 +585,46 @@ let commit_with t ~parents ~msg =
   let cobj = Tree.Commit { root = t.root; parents; msg } in
   let ch = put_obj t cobj in
   let objs = collect_new t ch in
-  (* Assign data-area homes (sector-aligned frames), then encode — the
-     post-order guarantees every child ref resolves. Rolled back if the
-     journal write fails. *)
+  (* Assign data-area homes (sector-aligned frames) and encode each
+     frame once, into the record payload — the post-order guarantees
+     every child ref resolves. Rolled back if the journal write fails:
+     an object read back from the data area after a remount is journaled
+     again at a new home, and gets its old one back. *)
   let assigned = ref [] in
+  let rollback () =
+    List.iter
+      (fun (h, prev) ->
+        match prev with
+        | Some l -> Hashtbl.replace t.locs h l
+        | None -> Hashtbl.remove t.locs h)
+      !assigned
+  in
   let dh = ref t.data_head in
+  let record = t.record in
+  Buffer.clear record;
   let frames =
     try
       List.map
         (fun h ->
           let o = Hashtbl.find t.cache h in
-          let body = encode_body t o in
-          let flen = frame_len (String.length body) in
+          let flen = encode_body t o in
           let lba = !dh in
           dh := !dh + sectors_of t flen;
+          assigned := (h, Hashtbl.find_opt t.locs h) :: !assigned;
           Hashtbl.replace t.locs h (lba, flen);
-          assigned := h :: !assigned;
-          (h, encode_frame t h o ~lba))
+          let off = Buffer.length record in
+          add_frame t record h o ~lba;
+          (h, lba, off, Buffer.length record - off))
         objs
     with e ->
-      List.iter (fun h -> Hashtbl.remove t.locs h) !assigned;
+      rollback ();
       raise e
-  in
-  let rollback () =
-    List.iter (fun h -> Hashtbl.remove t.locs h) !assigned
   in
   if !dh > t.dev.B.capacity_sectors then begin
     rollback ();
     raise (Err Ukvfs.Fs.Enospc)
   end;
-  let payload = String.concat "" (List.map snd frames) in
+  let payload = Buffer.contents record in
   let plen = String.length payload in
   let psec = max 1 (sectors_of t plen) in
   let rsec = 2 + psec in
@@ -514,10 +655,10 @@ let commit_with t ~parents ~msg =
   t.next_seq <- seq + 1;
   t.data_head <- !dh;
   List.iter
-    (fun h ->
+    (fun (h, lba, off, len) ->
       Hashtbl.replace t.durable h ();
-      t.unckpt <- t.unckpt @ [ h ])
-    objs;
+      Queue.push { p_hash = h; p_lba = lba; payload; off; len } t.unckpt)
+    frames;
   t.head <- ch;
   t.st <-
     { t.st with commits = t.st.commits + 1; journal_records = t.st.journal_records + 1;
@@ -531,19 +672,17 @@ let commit_with t ~parents ~msg =
 (* --- checkpoint ------------------------------------------------------------ *)
 
 let checkpoint_exn t =
-  if t.unckpt = [] && t.jsector = 0 then ()
+  if Queue.is_empty t.unckpt && t.jsector = 0 then ()
   else begin
-    (* Copy journaled frames to their pre-assigned data-area homes. *)
+    (* Copy journaled frames, the very bytes the journal holds, to their
+       pre-assigned data-area homes. *)
     let ss = t.dev.B.sector_size in
-    List.iter
-      (fun h ->
-        let o = Hashtbl.find t.cache h in
-        let lba, flen = loc_of t h in
-        let frame = encode_frame t h o ~lba in
-        let buf = Bytes.make (sectors_of t flen * ss) '\000' in
-        Bytes.blit_string frame 0 buf 0 (String.length frame);
-        charge t (Uksim.Cost.memcpy flen);
-        match t.dev.B.write_sync ~lba buf with
+    Queue.iter
+      (fun p ->
+        let buf = Bytes.make (sectors_of t p.len * ss) '\000' in
+        Bytes.blit_string p.payload p.off buf 0 p.len;
+        charge t (Uksim.Cost.memcpy p.len);
+        match t.dev.B.write_sync ~lba:p.p_lba buf with
         | Ok () -> ()
         | Error _ -> raise (Err Ukvfs.Fs.Eio))
       t.unckpt;
@@ -556,7 +695,7 @@ let checkpoint_exn t =
        t.epoch <- t.epoch - 1;
        raise e);
     fsync t;
-    t.unckpt <- [];
+    Queue.clear t.unckpt;
     t.jsector <- 0;
     t.st <- { t.st with checkpoints = t.st.checkpoints + 1 };
     g.g_checkpoints <- g.g_checkpoints + 1
@@ -627,17 +766,20 @@ let replay_record t ~off ~expect_seq =
                     let pos = ref 0 in
                     let applied = ref [] in
                     while !pos < plen do
-                      let h, obj, lba, flen, pos' = decode_frame t payload !pos in
+                      let off = !pos in
+                      let h, obj, lba, flen, pos' = decode_frame t payload off in
                       if Tree.hash_of_obj obj <> h then raise (Err Ukvfs.Fs.Eio);
-                      applied := (h, obj, lba, flen) :: !applied;
+                      let p = { p_hash = h; p_lba = lba; payload; off; len = flen } in
+                      applied := (obj, p) :: !applied;
                       pos := pos'
                     done;
                     List.iter
-                      (fun (h, obj, lba, flen) ->
+                      (fun (obj, p) ->
+                        let h = p.p_hash and lba = p.p_lba and flen = p.len in
                         Hashtbl.replace t.cache h obj;
                         Hashtbl.replace t.locs h (lba, flen);
                         Hashtbl.replace t.durable h ();
-                        t.unckpt <- t.unckpt @ [ h ];
+                        Queue.push p t.unckpt;
                         if lba + sectors_of t flen > t.data_head then
                           t.data_head <- lba + sectors_of t flen)
                       (List.rev !applied);
@@ -754,7 +896,7 @@ let is_dirty t = guard (fun () -> dirty t)
    the cold-cache lever for recovery and hit-rate experiments. *)
 let drop_caches t =
   let keep = Hashtbl.create 16 in
-  List.iter (fun h -> Hashtbl.replace keep h ()) t.unckpt;
+  Queue.iter (fun p -> Hashtbl.replace keep p.p_hash ()) t.unckpt;
   Hashtbl.iter
     (fun h _ ->
       if Hashtbl.mem t.durable h && Hashtbl.mem t.locs h && not (Hashtbl.mem keep h) then

@@ -200,6 +200,16 @@ grep -q '"store_replay_ok": true' BENCH_store.json || {
   echo "FAIL: same-seed store run did not replay to identical roots + trace"
   exit 1
 }
+# Pinned fast-mode values: a change to store frames or block virtual
+# time moves them. Update a pin only with a CHANGES.md line saying why.
+grep -q '"store_trace_hash": "169662380a26fb5c",' BENCH_store.json || {
+  echo "FAIL: store_trace_hash moved from its pin (169662380a26fb5c)"
+  exit 1
+}
+grep -q '"recovery_depth64_us": 7.011,' BENCH_store.json || {
+  echo "FAIL: recovery_depth64_us moved from its pin (7.011)"
+  exit 1
+}
 grep -q '"store_spike_lost": 0,' BENCH_store.json || {
   echo "FAIL: store fleet lost responses under the 10x spike"
   exit 1

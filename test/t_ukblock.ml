@@ -115,6 +115,45 @@ let test_virtio_blk_latency_charged () =
   Alcotest.(check bool) "sync read pays the host latency" true
     (Uksim.Clock.elapsed_ns clock s >= 20_000.0)
 
+(* The exact cycle a synchronous request returns at, pinned: alone on the
+   engine; with an unrelated timer firing mid-wait (the clock it sees is
+   pinned too); and with a timer that runs past the completion, which
+   then waits for the next poll. *)
+let test_virtio_blk_sync_wait_pinned () =
+  let run ~timer op =
+    let clock, engine = env () in
+    let d = V.create ~clock ~engine () in
+    let seen = ref (-1) in
+    (match timer with
+    | None -> ()
+    | Some (at, busy) ->
+        Uksim.Engine.after engine at (fun () ->
+            seen := Uksim.Clock.cycles clock;
+            Uksim.Clock.advance clock busy));
+    op d;
+    (Uksim.Clock.cycles clock, !seen)
+  in
+  let read d =
+    match d.B.read_sync ~lba:3 ~sectors:2 with Ok _ -> () | Error _ -> Alcotest.fail "read"
+  in
+  let write d =
+    match d.B.write_sync ~lba:5 (Bytes.make 1024 'w') with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "write"
+  in
+  let pair = Alcotest.(pair int int) in
+  List.iter
+    (fun (name, op, alone, mid, overrun) ->
+      Alcotest.check pair (name ^ " alone") alone (run ~timer:None op);
+      Alcotest.check pair (name ^ " with a timer mid-wait") mid
+        (run ~timer:(Some (30_001, 777)) op);
+      Alcotest.check pair (name ^ " with a timer past completion") overrun
+        (run ~timer:(Some (70_000, 9_999)) op))
+    [
+      ("read_sync", read, (72_440, -1), (72_217, 30_440), (80_939, 70_440));
+      ("write_sync", write, (72_440, -1), (72_217, 30_440), (80_939, 70_440));
+    ]
+
 let test_batch_amortizes_kick () =
   (* One kick per submit call: batching 32 requests beats 32 single
      submissions — the ukblock analogue of tx_burst batching. *)
@@ -279,6 +318,7 @@ let suite =
     Alcotest.test_case "virtio-blk interrupts" `Quick test_virtio_blk_interrupt;
     Alcotest.test_case "queue depth" `Quick test_virtio_blk_queue_depth;
     Alcotest.test_case "host latency charged" `Quick test_virtio_blk_latency_charged;
+    Alcotest.test_case "sync wait returns at the pinned poll" `Quick test_virtio_blk_sync_wait_pinned;
     Alcotest.test_case "batched submit amortizes kicks" `Quick test_batch_amortizes_kick;
     Alcotest.test_case "wire loss injection" `Quick test_wire_loss_counted;
     Alcotest.test_case "wire duplication" `Quick test_wire_duplication;

@@ -503,6 +503,27 @@ let test_resp_persist_restart_replay () =
   Alcotest.(check bool) "second epoch replayed" true
     (Ukapps.Resp_store.execute s'' [ "GET"; "user:4" ] = Ukapps.Resp.Bulk "edsger")
 
+(* After a remount, objects read back from the data area can be journaled
+   again, at new homes. When that first commit outgrows the ring, the
+   checkpoint-and-retry path must roll those homes back to the old ones,
+   not drop them: the retry encodes refs to the same objects. *)
+let test_commit_after_remount_outgrows_ring () =
+  let c, dev, t = fresh ~journal_sectors:8 () in
+  for batch = 0 to 3 do
+    for i = 0 to 9 do
+      set t (Printf.sprintf "key%d%d" batch i) (String.make 30 (Char.chr (97 + i)))
+    done;
+    ignore (commit t)
+  done;
+  ok (St.checkpoint t);
+  let t' = ok (St.open_ ~clock:c dev) in
+  set t' "key00" "new";
+  let h = commit t' in
+  let t'' = ok (St.open_ ~clock:c dev) in
+  Alcotest.(check int) "head survives" h (St.head t'');
+  Alcotest.(check (option string)) "new value" (Some "new") (ok (St.get t'' "key00"));
+  Alcotest.(check (option string)) "old value" (Some (String.make 30 'j')) (ok (St.get t'' "key39"))
+
 let test_trace_source_registered () =
   let _, _, t = fresh () in
   set t "k" "v";
@@ -514,6 +535,218 @@ let test_trace_source_registered () =
          let k = e.Uktrace.Registry.suid in
          String.length k >= 7 && String.sub k 0 7 = "ukstore")
        snap)
+
+(* --- frame codec ------------------------------------------------------------- *)
+
+(* Reference frame encoder: the Printf rendering the on-disk format was
+   defined by. The direct encoder in [St] must agree with it byte for
+   byte. *)
+let ref_to_hex s =
+  let b = Buffer.create (String.length s * 2) in
+  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
+  Buffer.contents b
+
+let ref_encode_body t (o : Tr.obj) =
+  let b = Buffer.create 128 in
+  (match o with
+  | Tr.Blob v -> Buffer.add_string b v
+  | Tr.Node (Tr.Leaf entries) ->
+      Buffer.add_string b (Printf.sprintf "L %d\n" (List.length entries));
+      List.iter
+        (fun (k, vh) ->
+          let lba, len = St.loc_of t vh in
+          Buffer.add_string b (Printf.sprintf "%016x %d %d %s\n" vh lba len (ref_to_hex k)))
+        entries
+  | Tr.Node (Tr.Branch (n, kids)) ->
+      Buffer.add_string b (Printf.sprintf "T %d %d\n" n (List.length kids));
+      List.iter
+        (fun (nb, ch) ->
+          let lba, len = St.loc_of t ch in
+          Buffer.add_string b (Printf.sprintf "%d %016x %d %d\n" nb ch lba len))
+        kids
+  | Tr.Commit { root; parents; msg } ->
+      let rlba, rlen = St.loc_of t root in
+      Buffer.add_string b
+        (Printf.sprintf "C %016x %d %d %d %s\n" root rlba rlen (List.length parents)
+           (ref_to_hex msg));
+      List.iter
+        (fun p ->
+          let plba, plen = St.loc_of t p in
+          Buffer.add_string b (Printf.sprintf "%016x %d %d\n" p plba plen))
+        parents);
+  Buffer.contents b
+
+let ref_encode_frame t h o ~lba =
+  let body = ref_encode_body t o in
+  Printf.sprintf "o %016x %c %08d %08d\n%s" h (St.kind_of o) (String.length body) lba body
+
+(* Hashes: arbitrary words, the top nibble set, and the edges. *)
+let hash_gen =
+  QCheck.Gen.(
+    oneof
+      [ int; map (fun x -> x lor (7 lsl 60)) int; oneofl [ 0; 1; max_int; min_int; -1; 7 lsl 60 ] ])
+
+let loc_gen = QCheck.Gen.(oneof [ oneofl [ 0; 99_999_999 ]; int_bound 200_000 ])
+
+(* Keys and messages draw from all 256 byte values. *)
+let bytes_gen = QCheck.Gen.(string_size ~gen:char (int_bound 40))
+
+let obj_gen =
+  QCheck.Gen.(
+    let kids g = list_size (int_bound 5) g in
+    oneof
+      [
+        map (fun v -> Tr.Blob v) bytes_gen;
+        map (fun es -> Tr.Node (Tr.Leaf es)) (kids (pair bytes_gen hash_gen));
+        map2
+          (fun n ks -> Tr.Node (Tr.Branch (n, ks)))
+          small_nat
+          (kids (pair (int_bound 255) hash_gen));
+        map3
+          (fun root parents msg -> Tr.Commit { root; parents; msg })
+          hash_gen (kids hash_gen) bytes_gen;
+      ])
+
+let children = function
+  | Tr.Blob _ -> []
+  | Tr.Node (Tr.Leaf es) -> List.map snd es
+  | Tr.Node (Tr.Branch (_, ks)) -> List.map snd ks
+  | Tr.Commit { root; parents; _ } -> root :: parents
+
+let prop_encoder_matches_reference =
+  QCheck.Test.make ~name:"direct frame encoder equals the Printf reference" ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         quad hash_gen obj_gen
+           (oneof [ oneofl [ 0; 99_999_999; 100_000_000; -1 ]; int_bound 1_000_000 ])
+           (list_size (int_bound 12) (pair loc_gen loc_gen))))
+    (fun (h, o, lba, locs) ->
+      let _, _, t = fresh () in
+      (* Give every child a location, cycling through the drawn ones. *)
+      let locs = Array.of_list ((0, 0) :: locs) in
+      List.iteri
+        (fun i ch ->
+          if ch <> Tr.null then Hashtbl.replace t.St.locs ch locs.(i mod Array.length locs))
+        (children o);
+      St.encode_frame t h o ~lba = ref_encode_frame t h o ~lba)
+
+let test_encoder_every_byte () =
+  let _, _, t = fresh () in
+  let all = String.init 256 Char.chr in
+  let vh = 0x7abc_def0_1234_5678 in
+  Hashtbl.replace t.St.locs vh (99_999_999, 99_999_999);
+  List.iter
+    (fun o ->
+      List.iter
+        (fun lba ->
+          Alcotest.(check string) "frame" (ref_encode_frame t max_int o ~lba)
+            (St.encode_frame t max_int o ~lba))
+        [ 0; 99_999_999; 100_000_000 ])
+    [
+      Tr.Blob all;
+      Tr.Node (Tr.Leaf [ (all, vh); ("", vh) ]);
+      Tr.Node (Tr.Branch (255, [ (0, vh); (255, vh) ]));
+      Tr.Commit { root = vh; parents = [ vh; Tr.null ]; msg = all };
+    ]
+
+(* A data-area frame whose header is corrupted reads back as [Eio]: the
+   decoder takes each field only in the exact form the encoder writes,
+   and no exception escapes [get]. Header layout: "o " at 0, hash at 2,
+   kind at 19, body length at 21, own lba at 30, '\n' at 38. *)
+let test_corrupt_frame_header_is_eio () =
+  let cases =
+    [
+      (1, "x");
+      (2, "-000000000000001");
+      (2, "0x00000000000000");
+      (9, "_");
+      (2, "8");
+      (2, "g");
+      (19, "z");
+      (21, "-0000001");
+      (21, "0000_005");
+      (21, "+0000005");
+      (21, "0x000005");
+      (21, " 0000005");
+      (29, "0");
+      (30, "-0000001");
+      (30, "0b000001");
+      (30, "0000_066");
+      (38, " ");
+    ]
+  in
+  List.iter
+    (fun (at, bad) ->
+      let c, dev, t = fresh () in
+      set t "a" "hello";
+      ignore (commit t);
+      ok (St.checkpoint t);
+      let lba, _ = Hashtbl.find t.St.locs (Tr.hash_of_obj (Tr.Blob "hello")) in
+      let sec =
+        match dev.B.read_sync ~lba ~sectors:1 with
+        | Ok s -> s
+        | Error e -> Alcotest.fail (B.error_to_string e)
+      in
+      Bytes.blit_string bad 0 sec at (String.length bad);
+      ignore (dev.B.write_sync ~lba sec);
+      let t' = ok (St.open_ ~clock:c dev) in
+      match St.get t' "a" with
+      | Error Ukvfs.Fs.Eio -> ()
+      | Ok v ->
+          Alcotest.failf "%S at byte %d read back as %s" bad at
+            (match v with Some v -> Printf.sprintf "%S" v | None -> "absent")
+      | Error e -> Alcotest.failf "%S at byte %d: %s" bad at (Ukvfs.Fs.errno_to_string e)
+      | exception e -> Alcotest.failf "%S at byte %d raised %s" bad at (Printexc.to_string e))
+    cases
+
+(* --- pinned disk image and clock ---------------------------------------------- *)
+
+(* FNV over every sector that holds anything, keyed by its lba. *)
+let disk_digest (dev : B.t) =
+  let ss = dev.B.sector_size in
+  match dev.B.read_sync ~lba:0 ~sectors:dev.B.capacity_sectors with
+  | Error e -> Alcotest.fail (B.error_to_string e)
+  | Ok img ->
+      let zero = Bytes.make ss '\000' in
+      let d = ref 0 in
+      for lba = 0 to dev.B.capacity_sectors - 1 do
+        if Bytes.sub img (lba * ss) ss <> zero then
+          d := Ukvfs.Digest.mix (Ukvfs.Digest.mix !d lba) (Ukvfs.Digest.fnv img (lba * ss) ss)
+      done;
+      !d
+
+(* A seeded store on the virtio-blk model: commits until the journal
+   ring wraps into a checkpoint, two more commits, a remount that replays
+   the journal, and a checkpoint that copies the replayed frames home.
+   The disk image and the virtual clock are pinned: a frame byte or a
+   synchronous block wait that moves changes one of them. *)
+let test_disk_image_and_clock_pinned () =
+  let clock = Uksim.Clock.create () in
+  let engine = Uksim.Engine.create clock in
+  let dev = Ukblock.Virtio_blk.create ~clock ~engine ~capacity_sectors:2048 () in
+  let t = ok (St.format ~clock ~journal_sectors:24 dev) in
+  let rng = Uksim.Rng.create 17 in
+  let round t i =
+    for _ = 1 to 6 do
+      set t
+        (Printf.sprintf "key%03d" (Uksim.Rng.int rng 60))
+        (String.make (1 + Uksim.Rng.int rng 40) (Char.chr (97 + Uksim.Rng.int rng 26)))
+    done;
+    ignore (commit ~msg:(Printf.sprintf "round %d\x00\xff" i) t)
+  in
+  let i = ref 0 in
+  while (St.stats t).St.checkpoints = 0 do
+    incr i;
+    round t !i
+  done;
+  round t (!i + 1);
+  round t (!i + 2);
+  let t' = ok (St.open_ ~clock dev) in
+  (* The commit that wrapped the ring landed in the fresh one. *)
+  Alcotest.(check int) "journal-only commits replayed" 3 (St.stats t').St.replayed_records;
+  ok (St.checkpoint t');
+  Alcotest.(check int) "final clock" 9_172_743 (Uksim.Clock.cycles clock);
+  Alcotest.(check string) "disk image" "2b9701583ed68655" (Printf.sprintf "%016x" (disk_digest dev))
 
 let suite =
   [
@@ -540,4 +773,9 @@ let suite =
     ("server survives crash+restart", `Quick, test_store_server_survives_crash_restart);
     ("RESP persist restart+replay", `Quick, test_resp_persist_restart_replay);
     ("trace source", `Quick, test_trace_source_registered);
+    ("commit after remount outgrows the ring", `Quick, test_commit_after_remount_outgrows_ring);
+    QCheck_alcotest.to_alcotest prop_encoder_matches_reference;
+    ("encoder: every byte value, lba edges", `Quick, test_encoder_every_byte);
+    ("corrupt frame header reads as EIO", `Quick, test_corrupt_frame_header_is_eio);
+    ("disk image and clock pinned", `Quick, test_disk_image_and_clock_pinned);
   ]
