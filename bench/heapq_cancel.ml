@@ -5,12 +5,7 @@ let push h key live = Uksim.Heapq.push h key live
 
 let drain h =
   let fired = ref 0 in
-  let rec go () =
-    match Uksim.Heapq.pop h with
-    | Some (_, live) ->
-        if live then incr fired;
-        go ()
-    | None -> ()
-  in
-  go ();
+  while not (Uksim.Heapq.is_empty h) do
+    if Uksim.Heapq.take h then incr fired
+  done;
   !fired

@@ -73,6 +73,7 @@ type t = {
   submit : host:int -> now_ns:float -> flow:int -> on_reply:(ok:bool -> unit) -> bool;
   capacity_rps : host:int -> float;
   lat : Uksim.Stats.t;
+  hedge_q : Uksim.Stats.Running.t; (* lat's hedge quantile, fed only when hedging *)
   mutable hedge_cached : float;
   mutable hedge_cached_at : int; (* lat count at last refresh *)
   mutable next_rid : int;
@@ -211,7 +212,8 @@ let finish t req outcome ~now =
     (match outcome with
     | Completed ->
         t.c_completed <- t.c_completed + 1;
-        Uksim.Stats.add t.lat lat
+        Uksim.Stats.add t.lat lat;
+        if t.p.hedge then Uksim.Stats.Running.add t.hedge_q lat
     | Shed -> t.c_shed <- t.c_shed + 1
     | Expired -> t.c_expired <- t.c_expired + 1);
     trace t
@@ -232,18 +234,17 @@ let rec pick_untried t req salt left =
 
 (* Until the latency estimator has a usable sample, hedge at the
    configured floor — waiting half an attempt-timeout would leave the
-   whole warm-up phase unprotected against stragglers. The percentile
-   is refreshed every 256 completions. A refresh sorts only the samples
-   added since the previous one, so the cadence is not there for cost:
-   the cached threshold decides which requests hedge, and a different
-   cadence would change every replay. *)
+   whole warm-up phase unprotected against stragglers. The threshold is
+   refreshed every 256 completions from the running quantile, which is
+   exact and O(1) to read, so the cadence costs nothing: it is kept
+   because the cached threshold decides which requests hedge, and any
+   other cadence would change every replay. *)
 let hedge_delay t =
-  let n = Uksim.Stats.count t.lat in
+  let n = Uksim.Stats.Running.count t.hedge_q in
   if n < 64 then t.p.hedge_min_ns
   else begin
     if n - t.hedge_cached_at >= 256 || t.hedge_cached_at = 0 then begin
-      t.hedge_cached <-
-        Float.max t.p.hedge_min_ns (Uksim.Stats.percentile t.lat t.p.hedge_quantile);
+      t.hedge_cached <- Float.max t.p.hedge_min_ns (Uksim.Stats.Running.get t.hedge_q);
       t.hedge_cached_at <- n
     end;
     t.hedge_cached
@@ -390,6 +391,7 @@ let create ~clock ~engine ~seed ~net ~front ~n_hosts ~params:p ~submit
       submit;
       capacity_rps;
       lat = Uksim.Stats.create ();
+      hedge_q = Uksim.Stats.Running.create p.hedge_quantile;
       hedge_cached = 0.0;
       hedge_cached_at = 0;
       next_rid = 0;

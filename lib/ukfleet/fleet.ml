@@ -85,7 +85,7 @@ type t = {
   costs : costs;
   sub : sub;
   external_sub : bool;  (* [`Engine]: caller drives; run is invalid *)
-  instances : (int, instance) Hashtbl.t;
+  mutable instances : instance array;  (* by iid; [0 .. next_iid-1] are real *)
   mutable next_iid : int;
   mutable next_rid : int;
   lb_q : req Queue.t;
@@ -96,7 +96,7 @@ type t = {
   mutable pool_warming : int;
   mutable template_eta : float option;
   lat : Uksim.Stats.t;  (* completion latencies, ns, whole run *)
-  win : Uksim.Stats.t;  (* same, current control window *)
+  win : Uksim.Stats.t;  (* same, current control window; fed only with an autoscaler *)
   viol : (int, unit) Hashtbl.t;  (* violated SLO buckets *)
   mutable t_measure : float;
   mutable last_event : float;
@@ -258,7 +258,7 @@ let create ?(seed = 1) ?(substrate = `Own) ?(backend = Unikraft Ukplat.Vmm.Firec
          });
       sub;
       external_sub;
-      instances = Hashtbl.create 64;
+      instances = [||];
       next_iid = 0;
       next_rid = 0;
       lb_q = Queue.create ();
@@ -348,7 +348,7 @@ let complete t inst req ~fin =
   end;
   let latency = fin -. req.arrival_ns in
   Uksim.Stats.add t.lat latency;
-  Uksim.Stats.add t.win latency;
+  if t.auto <> None then Uksim.Stats.add t.win latency;
   if latency > t.slo_ns then mark_bucket t fin;
   t.c_completed <- t.c_completed + 1;
   t.outstanding <- t.outstanding - 1;
@@ -374,16 +374,11 @@ let dispatch t inst req ~now =
    controller's estimate of what an accepted request would wait. *)
 let best_wait t ~now =
   List.fold_left
-    (fun acc iid ->
-      let inst = Hashtbl.find t.instances iid in
-      Float.min acc (Float.max 0.0 (inst.busy_until_ns -. now)))
+    (fun acc iid -> Float.min acc (Float.max 0.0 (t.instances.(iid).busy_until_ns -. now)))
     infinity (Frontdoor.members t.fd)
 
 let route t req ~now =
-  let load iid =
-    let inst = Hashtbl.find t.instances iid in
-    Float.max 0.0 (inst.busy_until_ns -. now)
-  in
+  let load iid = Float.max 0.0 (t.instances.(iid).busy_until_ns -. now) in
   match Frontdoor.pick t.fd ~flow:req.flow ~load with
   | None ->
       if Queue.length t.lb_q < lb_queue_cap then begin
@@ -393,7 +388,7 @@ let route t req ~now =
       else shed t req ~now
   | Some iid ->
       if best_wait t ~now > t.shed_after_ns then shed t req ~now
-      else dispatch t (Hashtbl.find t.instances iid) req ~now
+      else dispatch t t.instances.(iid) req ~now
 
 let drain_lb t ~now =
   if Frontdoor.members t.fd <> [] then begin
@@ -475,7 +470,12 @@ let scale_out t n ~now =
         retired = false;
       }
     in
-    Hashtbl.replace t.instances iid inst;
+    if iid = Array.length t.instances then begin
+      let grown = Array.make (max 16 (2 * iid)) inst in
+      Array.blit t.instances 0 grown 0 iid;
+      t.instances <- grown
+    end;
+    t.instances.(iid) <- inst;
     t.warming_n <- t.warming_n + 1;
     let latency = spawn_latency t ~now in
     trace t 0x59a iid (now +. latency);
@@ -485,16 +485,13 @@ let scale_out t n ~now =
 
 let scale_in t ~now =
   (* Retire the youngest idle ready instance; hold if none is idle. *)
-  let victim =
-    Hashtbl.fold
-      (fun _ inst best ->
-        if inst.state = Ready && inst.inflight = 0 then
-          match best with
-          | Some b when b.iid >= inst.iid -> best
-          | _ -> Some inst
-        else best)
-      t.instances None
+  let rec youngest_idle iid =
+    if iid < 0 then None
+    else
+      let inst = t.instances.(iid) in
+      if inst.state = Ready && inst.inflight = 0 then Some inst else youngest_idle (iid - 1)
   in
+  let victim = youngest_idle (t.next_iid - 1) in
   match victim with
   | None -> ()
   | Some inst ->
@@ -507,7 +504,7 @@ let scale_in t ~now =
       publish_gauges t
 
 let kill t ~now_ns ~iid =
-  match Hashtbl.find_opt t.instances iid with
+  match if iid >= 0 && iid < t.next_iid then Some t.instances.(iid) else None with
   | Some inst when inst.state = Ready ->
       let now = now_ns in
       inst.state <- Dead;
@@ -576,11 +573,11 @@ let thaw t ~now_ns =
       let stall = Float.max 0.0 (now_ns -. since) in
       (* Capacity lost to the stall: every instance's backlog horizon
          shifts by the freeze duration. *)
-      Hashtbl.iter
-        (fun _ inst ->
-          if inst.state = Ready && inst.busy_until_ns > since then
-            inst.busy_until_ns <- inst.busy_until_ns +. stall)
-        t.instances;
+      for iid = 0 to t.next_iid - 1 do
+        let inst = t.instances.(iid) in
+        if inst.state = Ready && inst.busy_until_ns > since then
+          inst.busy_until_ns <- inst.busy_until_ns +. stall
+      done;
       trace t 0x7a4 0 now_ns;
       (* Held completions land at the thaw instant — the stall is part of
          their latency, exactly what a frozen host's clients observe. *)

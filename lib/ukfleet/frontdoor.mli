@@ -27,7 +27,10 @@ val create : ?vnodes:int -> policy -> t
 val policy : t -> policy
 
 val add : t -> int -> unit
-(** Add a member id (a backend that became ready). Idempotent. *)
+(** Add a member id (a backend that became ready). Idempotent. Ids
+    index arrays inside the front door, so keep them small and dense
+    (fleet instance ids, shard slots).
+    @raise Invalid_argument on a negative id. *)
 
 val remove : t -> int -> unit
 (** Remove a member (crashed, retired). Idempotent; also clears any
@@ -52,5 +55,6 @@ val active : t -> int list
 (** {!members} minus quarantined — the pickable set. *)
 
 val pick : t -> flow:int -> load:(int -> float) -> int option
-(** Choose a member for a request of [flow]: [None] iff no members.
-    [load] is the backlog estimate the least-loaded policy minimizes. *)
+(** Choose a member for a request of [flow]: [None] iff no active
+    members. [load] is the backlog estimate the least-loaded policy
+    minimizes. Allocates nothing: the [Some] is preallocated per member. *)

@@ -21,18 +21,20 @@ let pending t = Heapq.length t.queue
 let next_cycle t = Heapq.min_key t.queue
 
 let step t =
-  match Heapq.pop t.queue with
-  | None -> false
-  | Some (cycle, f) ->
-      if cycle > Clock.cycles t.clock then
-        Clock.advance t.clock (cycle - Clock.cycles t.clock);
-      (match t.observer with
-      | None -> f ()
-      | Some obs ->
-          let c0 = Clock.cycles t.clock in
-          f ();
-          obs (Clock.cycles t.clock - c0));
-      true
+  if Heapq.is_empty t.queue then false
+  else begin
+    let cycle = Heapq.min_key t.queue in
+    let f = Heapq.take t.queue in
+    if cycle > Clock.cycles t.clock then
+      Clock.advance t.clock (cycle - Clock.cycles t.clock);
+    (match t.observer with
+    | None -> f ()
+    | Some obs ->
+        let c0 = Clock.cycles t.clock in
+        f ();
+        obs (Clock.cycles t.clock - c0));
+    true
+  end
 
 let rec run ?until t =
   match until with

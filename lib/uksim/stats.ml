@@ -12,7 +12,7 @@ let create () = { data = [||]; size = 0; sorted_upto = 0; scratch = [||] }
 let add t x =
   let cap = Array.length t.data in
   if t.size = cap then begin
-    let nd = Array.make (if cap = 0 then 64 else cap * 2) 0.0 in
+    let nd = Array.create_float (if cap = 0 then 64 else cap * 2) in
     Array.blit t.data 0 nd 0 t.size;
     t.data <- nd
   end;
@@ -117,7 +117,7 @@ let ensure_sorted t =
   if p < n then begin
     let k = n - p in
     if Array.length t.scratch < k then
-      t.scratch <- Array.make (Stdlib.max k (2 * Array.length t.scratch)) 0.0;
+      t.scratch <- Array.create_float (Stdlib.max k (2 * Array.length t.scratch));
     let d = t.data and s = t.scratch in
     merge_sort d s p p n;
     (* Merge the sorted tail into the prefix from the back; prefix values
@@ -157,6 +157,93 @@ let percentile t p =
   end
 
 let median t = percentile t 50.0
+
+module Running = struct
+  (* A max-heap of the lowest [lo+1] samples and a min-heap of the rest,
+     both ordered by [Float.compare], so their tops are [data.(lo)] and
+     [data.(lo+1)] of the sorted array {!percentile} would read. *)
+  type heap = { mutable a : float array; mutable n : int; dir : int }
+  (* [dir] = 1: max-heap; [dir] = -1: min-heap. *)
+
+  type t = { p : float; lower : heap; upper : heap }
+
+  let create p =
+    if Float.is_nan p then invalid_arg "Stats.Running.create: p is nan";
+    let heap dir = { a = [||]; n = 0; dir } in
+    { p = Stdlib.min 100.0 (Stdlib.max 0.0 p); lower = heap 1; upper = heap (-1) }
+
+  let count t = t.lower.n + t.upper.n
+
+  let[@inline] above h x y = Float.compare x y * h.dir > 0
+
+  let[@inline] push h x =
+    if h.n = Array.length h.a then begin
+      let na = Array.create_float (Stdlib.max 64 (2 * h.n)) in
+      Array.blit h.a 0 na 0 h.n;
+      h.a <- na
+    end;
+    let a = h.a in
+    let i = ref h.n in
+    h.n <- h.n + 1;
+    while !i > 0 && above h x a.((!i - 1) / 2) do
+      a.(!i) <- a.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    a.(!i) <- x
+
+  (* Drop the top; the last entry sifts down from the root. *)
+  let drop_top h =
+    let a = h.a in
+    let n = h.n - 1 in
+    h.n <- n;
+    if n > 0 then begin
+      let x = a.(n) in
+      let i = ref 0 and fin = ref false in
+      while not !fin do
+        let l = (2 * !i) + 1 in
+        if l >= n then fin := true
+        else begin
+          let c = if l + 1 < n && above h a.(l + 1) a.(l) then l + 1 else l in
+          if above h a.(c) x then begin
+            a.(!i) <- a.(c);
+            i := c
+          end
+          else fin := true
+        end
+      done;
+      a.(!i) <- x
+    end
+
+  let[@inline] move_top ~src ~dst =
+    let x = src.a.(0) in
+    drop_top src;
+    push dst x
+
+  let rank t n = t.p /. 100.0 *. float_of_int (n - 1)
+
+  (* [lo] grows by at most one per sample, so one move restores
+     [lower.n = lo + 1]. *)
+  let add t x =
+    if t.lower.n > 0 && Float.compare x t.lower.a.(0) < 0 then push t.lower x
+    else push t.upper x;
+    let want = int_of_float (floor (rank t (count t))) + 1 in
+    if t.lower.n > want then move_top ~src:t.lower ~dst:t.upper
+    else if t.lower.n < want then move_top ~src:t.upper ~dst:t.lower
+
+  let get t =
+    let n = count t in
+    if n = 0 then nan
+    else begin
+      let rank = rank t n in
+      let lo = int_of_float (floor rank) in
+      let hi = int_of_float (ceil rank) in
+      if lo = hi then t.lower.a.(0)
+      else begin
+        let frac = rank -. float_of_int lo in
+        (t.lower.a.(0) *. (1.0 -. frac)) +. (t.upper.a.(0) *. frac)
+      end
+    end
+end
 
 let summary t =
   if t.size = 0 then "n=0"

@@ -40,6 +40,28 @@ val percentile : t -> float -> float
 
 val median : t -> float
 
+(** An exact running quantile for one fixed [p]: {!Running.get} after
+    any sequence of {!Running.add}s returns, bit for bit, what
+    {!percentile} [p] returns on a [t] holding the same samples (the
+    same [Float.compare] order, clamp, rank and interpolation).
+
+    Samples are split between two unboxed binary heaps around the rank,
+    so {!Running.add} is O(log n) and {!Running.get} is O(1); neither
+    allocates once the heaps have grown. Every sample is kept. *)
+module Running : sig
+  type t
+
+  val create : float -> t
+  (** [create p], [p] clamped to [\[0,100\]] as {!percentile} does.
+      @raise Invalid_argument if [p] is NaN. *)
+
+  val add : t -> float -> unit
+  val count : t -> int
+
+  val get : t -> float
+  (** The [p]-th percentile of the samples so far; [nan] when empty. *)
+end
+
 val summary : t -> string
 (** "n=…, mean=…, p50=…, p99=…, min=…, max=…" *)
 

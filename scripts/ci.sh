@@ -68,6 +68,12 @@ grep -q '"fleet_replay_ok": true' BENCH_fleet.json || {
   echo "FAIL: same-seed fleet replay was not byte-identical"
   exit 1
 }
+# Pinned fast-mode value: a change to fleet events or their virtual time
+# moves it. Update the pin only with a CHANGES.md line saying why.
+grep -q '"fleet_trace_hash": "0bad6e6772e5188c",' BENCH_fleet.json || {
+  echo "FAIL: fleet_trace_hash moved from its pin (0bad6e6772e5188c)"
+  exit 1
+}
 
 echo "== cluster smoke (fixed seed, fast workloads) =="
 UKRAFT_FAST=1 dune exec bench/main.exe -- --only cluster
@@ -92,6 +98,12 @@ grep -q '"planted_detector_fp": true' BENCH_cluster.json || {
 }
 grep -q '"cluster_replay_ok": true' BENCH_cluster.json || {
   echo "FAIL: same-seed cluster drill replay was not byte-identical"
+  exit 1
+}
+# Pinned fast-mode value: a change to routing, hedging, detection or
+# migration moves it. Update the pin only with a CHANGES.md line saying why.
+grep -q '"cluster_trace_hash": "2c625b0f6bd95f6d",' BENCH_cluster.json || {
+  echo "FAIL: cluster_trace_hash moved from its pin (2c625b0f6bd95f6d)"
   exit 1
 }
 

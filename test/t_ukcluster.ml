@@ -349,6 +349,47 @@ let test_replay_determinism () =
   Alcotest.(check bool) "different seed, different trace" true
     (cdiff.Cluster.trace_hash <> a.Cluster.trace_hash)
 
+(* A hedged run long enough for dozens of hedge-threshold refreshes,
+   through an asymmetric partition (host 3's replies vanish) and a crash
+   and recovery of host 1. The floor is low enough that the p90 itself
+   sets the threshold. The pins are what refreshing from the
+   whole-history [Stats.percentile] gave: a threshold one bit off
+   changes which requests hedge, and [Stats.mean] sums the latencies in
+   array order, so a change to the refresh, or to when that history gets
+   sorted, shows here. *)
+let pinned_hedged_run () =
+  let c = Cluster.create ~seed:5 ~n_hosts:4
+      ~classes:[| Host.X86; Host.X86; Host.X86; Host.Arm |]
+      ~detector_params:(fast_detector ())
+      ~router_params:
+        (Router.params ~hedge:true ~hedge_quantile:90.0
+           ~hedge_min_ns:(Uksim.Units.usec 20.0) ())
+      () in
+  let t0 = Cluster.settle_ns c in
+  let front = Cluster.front c in
+  ignore
+    (Fh.arm ~clock:(Cluster.clock c) ~engine:(Cluster.engine c) ~ops:(Cluster.ops c)
+       [
+         (t0 +. ms 100.0, Fh.Partition_asym ([ 3 ], [ front ]));
+         (t0 +. ms 250.0, Fh.Crash 1);
+         (t0 +. ms 400.0, Fh.Recover 1);
+         (t0 +. ms 600.0, Fh.Heal ([ 3 ], [ front ]));
+       ]);
+  Cluster.run c
+    (Ukfleet.Workload.diurnal ~base_rps:20000.0 ~amplitude:0.6 ~period_ns:(ms 300.0)
+       ~duration_ns:(ms 800.0))
+
+let test_hedged_run_pinned () =
+  let r = pinned_hedged_run () in
+  let bits x = Printf.sprintf "%016Lx" (Int64.bits_of_float x) in
+  check_no_lost r;
+  Alcotest.(check int) "completed" 17056 r.Cluster.completed;
+  Alcotest.(check int) "hedges" 6542 r.Cluster.hedges;
+  Alcotest.(check string) "trace_hash" "134e1ef0e3b63d4e"
+    (Printf.sprintf "%016x" r.Cluster.trace_hash);
+  Alcotest.(check string) "mean_us bits" "405b9eed6ef6c462" (bits r.Cluster.mean_us);
+  Alcotest.(check string) "p99_us bits" "405d2279cb4c13d1" (bits r.Cluster.p99_us)
+
 (* --- ukcheck: schedule exploration over the detector ----------------------- *)
 
 let detector_fixture smp ~seed =
@@ -414,6 +455,8 @@ let suite =
     Alcotest.test_case "migrate: partition -> abort + restart" `Quick
       test_migration_aborts_on_partition;
     Alcotest.test_case "kill+clone baseline works" `Quick test_kill_clone_baseline;
+    Alcotest.test_case "hedged run pinned: trace, hedges, mean and p99 bits" `Quick
+      test_hedged_run_pinned;
     Alcotest.test_case "seeded drill replays byte-identically" `Quick
       test_replay_determinism;
     Alcotest.test_case "inference image served across hosts" `Quick

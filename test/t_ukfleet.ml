@@ -82,6 +82,161 @@ let test_quarantine_keeps_affinity () =
   Alcotest.(check (list int))
     "recovery restores the exact flow -> member mapping" before after
 
+(* The list-and-Hashtbl front door the array-backed one replaced: the
+   reference for its picks. *)
+module Ref_frontdoor = struct
+  type t = {
+    pol : Frontdoor.policy;
+    vnodes : int;
+    mutable members : int list;
+    mutable cursor : int;
+    mutable ring : (int * int) array;
+    quarantined : (int, unit) Hashtbl.t;
+  }
+
+  let mix v =
+    let x = v land max_int in
+    let x = (x lxor (x lsr 30)) * 0x5851f42d4c957f2d land max_int in
+    let x = (x lxor (x lsr 27)) * 0x14057b7ef767814f land max_int in
+    x lxor (x lsr 31)
+
+  let create ~vnodes pol =
+    { pol; vnodes; members = []; cursor = 0; ring = [||]; quarantined = Hashtbl.create 8 }
+
+  let quarantined t m = Hashtbl.mem t.quarantined m
+  let active t = List.filter (fun m -> not (quarantined t m)) t.members
+  let quarantine t m = if List.mem m t.members then Hashtbl.replace t.quarantined m ()
+  let unquarantine t m = Hashtbl.remove t.quarantined m
+
+  let rebuild_ring t =
+    let pts =
+      List.concat_map
+        (fun m -> List.init t.vnodes (fun v -> (mix ((m * 8191) + v), m)))
+        t.members
+    in
+    let a = Array.of_list pts in
+    Array.sort compare a;
+    t.ring <- a
+
+  let add t m =
+    if not (List.mem m t.members) then begin
+      t.members <- List.sort compare (m :: t.members);
+      if t.pol = Frontdoor.Consistent_hash then rebuild_ring t
+    end
+
+  let remove t m =
+    if List.mem m t.members then begin
+      t.members <- List.filter (fun x -> x <> m) t.members;
+      Hashtbl.remove t.quarantined m;
+      if t.cursor >= List.length t.members then t.cursor <- 0;
+      if t.pol = Frontdoor.Consistent_hash then rebuild_ring t
+    end
+
+  let pick t ~flow ~load =
+    match t.pol with
+    | Frontdoor.Round_robin -> (
+        match active t with
+        | [] -> None
+        | ms ->
+            let i = t.cursor mod List.length ms in
+            t.cursor <- i + 1;
+            Some (List.nth ms i))
+    | Frontdoor.Least_loaded -> (
+        match active t with
+        | [] -> None
+        | m :: ms ->
+            Some
+              (fst
+                 (List.fold_left
+                    (fun (bm, bl) m ->
+                      let l = load m in
+                      if l < bl then (m, l) else (bm, bl))
+                    (m, load m) ms)))
+    | Frontdoor.Consistent_hash ->
+        let n = Array.length t.ring in
+        if n = 0 || Hashtbl.length t.quarantined >= List.length t.members then None
+        else begin
+          let h = mix flow in
+          let lo = ref 0 and hi = ref n in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if fst t.ring.(mid) < h then lo := mid + 1 else hi := mid
+          done;
+          let rec scan i left =
+            if left = 0 then None
+            else
+              let m = snd t.ring.(i mod n) in
+              if quarantined t m then scan (i + 1) (left - 1) else Some m
+          in
+          scan !lo n
+        end
+end
+
+(* Loads with ties and the odd NaN, so the least-loaded tie-breaks and
+   comparison order are exercised. *)
+let prop_load flow m =
+  if (flow + m) mod 13 = 0 then nan else float_of_int (flow * (m + 3) mod 5)
+
+(* Add, remove, quarantine, unquarantine and pick, in random order over
+   a dozen ids: every pick of every policy matches the reference. *)
+let frontdoor_matches_reference_prop =
+  QCheck.Test.make ~name:"frontdoor: picks match the list-based reference" ~count:300
+    QCheck.(list (triple (int_bound 5) (int_bound 11) (int_bound 10_000)))
+    (fun ops ->
+      let pairs =
+        List.map
+          (fun (pol, vnodes) -> (Frontdoor.create ~vnodes pol, Ref_frontdoor.create ~vnodes pol))
+          [
+            (Frontdoor.Round_robin, 32);
+            (Frontdoor.Least_loaded, 32);
+            (Frontdoor.Consistent_hash, 32);
+            (Frontdoor.Consistent_hash, 1);
+          ]
+      in
+      List.for_all
+        (fun (op, m, flow) ->
+          List.for_all
+            (fun (fd, r) ->
+              (match op with
+              | 0 ->
+                  Frontdoor.add fd m;
+                  Ref_frontdoor.add r m
+              | 1 ->
+                  Frontdoor.remove fd m;
+                  Ref_frontdoor.remove r m
+              | 2 ->
+                  Frontdoor.quarantine fd m;
+                  Ref_frontdoor.quarantine r m
+              | 3 ->
+                  Frontdoor.unquarantine fd m;
+                  Ref_frontdoor.unquarantine r m
+              | _ -> ());
+              let load = prop_load flow in
+              Frontdoor.pick fd ~flow ~load = Ref_frontdoor.pick r ~flow ~load
+              && Frontdoor.members fd = r.Ref_frontdoor.members
+              && Frontdoor.active fd = Ref_frontdoor.active r
+              && Frontdoor.quarantined fd m = Ref_frontdoor.quarantined r m)
+            pairs)
+        ops)
+
+let test_frontdoor_picks_allocate_nothing () =
+  List.iter
+    (fun pol ->
+      let fd = Frontdoor.create pol in
+      List.iter (Frontdoor.add fd) [ 0; 1; 2; 3; 4; 5 ];
+      Frontdoor.quarantine fd 2;
+      let before = Gc.minor_words () in
+      for flow = 1 to 10_000 do
+        ignore (Frontdoor.pick fd ~flow ~load:no_load)
+      done;
+      let words = Gc.minor_words () -. before in
+      if words >= 1_000.0 then
+        Alcotest.failf "10k %s picks allocated %.0f minor words" (Frontdoor.policy_name pol)
+          words)
+    [ Frontdoor.Round_robin; Frontdoor.Least_loaded; Frontdoor.Consistent_hash ];
+  Alcotest.check_raises "negative id" (Invalid_argument "Frontdoor.add: negative member id")
+    (fun () -> Frontdoor.add (Frontdoor.create Frontdoor.Round_robin) (-1))
+
 (* --- autoscaler ----------------------------------------------------------- *)
 
 let test_autoscaler_demand_and_hysteresis () =
@@ -425,6 +580,9 @@ let suite =
     Alcotest.test_case "frontdoor: round robin" `Quick test_round_robin_rotates;
     Alcotest.test_case "frontdoor: least loaded" `Quick test_least_loaded_argmin;
     Alcotest.test_case "frontdoor: consistent hash" `Quick test_consistent_hash_affinity;
+    QCheck_alcotest.to_alcotest frontdoor_matches_reference_prop;
+    Alcotest.test_case "frontdoor: picks allocate nothing" `Quick
+      test_frontdoor_picks_allocate_nothing;
     Alcotest.test_case "autoscaler: demand + hysteresis" `Quick
       test_autoscaler_demand_and_hysteresis;
     Alcotest.test_case "faultvm: seeded victims" `Quick test_faultvm_victims;

@@ -63,23 +63,17 @@ let test_heapq_order () =
   let h = Heapq.create () in
   List.iter (fun (k, v) -> Heapq.push h k v) [ (5, "e"); (1, "a"); (3, "c"); (2, "b"); (4, "d") ];
   let out = ref [] in
-  let rec drain () =
-    match Heapq.pop h with
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Heapq.is_empty h) do
+    out := Heapq.take h :: !out
+  done;
   Alcotest.(check (list string)) "sorted" [ "a"; "b"; "c"; "d"; "e" ] (List.rev !out)
 
 let test_heapq_fifo_ties () =
   let h = Heapq.create () in
   List.iter (fun v -> Heapq.push h 1 v) [ "first"; "second"; "third" ];
-  let take () = match Heapq.pop h with Some (_, v) -> v | None -> "" in
-  let a = take () in
-  let b = take () in
-  let c = take () in
+  let a = Heapq.take h in
+  let b = Heapq.take h in
+  let c = Heapq.take h in
   Alcotest.(check (list string)) "FIFO among equal keys" [ "first"; "second"; "third" ]
     [ a; b; c ]
 
@@ -90,10 +84,107 @@ let heapq_sorts_prop =
       let h = Heapq.create () in
       List.iter (fun k -> Heapq.push h k k) keys;
       let rec drain acc =
-        match Heapq.pop h with Some (k, _) -> drain (k :: acc) | None -> List.rev acc
+        if Heapq.is_empty h then List.rev acc
+        else
+          let k = Heapq.min_key h in
+          ignore (Heapq.take h);
+          drain (k :: acc)
       in
       let popped = drain [] in
       popped = List.sort compare keys)
+
+(* The record heap [Heapq] replaced: one boxed entry per push, compared
+   by (key, seq). The reference for the array-backed heap. *)
+module Ref_heapq = struct
+  type 'a entry = { key : int; seq : int; value : 'a }
+  type 'a t = { mutable data : 'a entry array; mutable size : int; mutable next_seq : int }
+
+  let create () = { data = [||]; size = 0; next_seq = 0 }
+  let lt a b = a.key < b.key || (a.key = b.key && a.seq < b.seq)
+
+  let swap h i j =
+    let tmp = h.data.(i) in
+    h.data.(i) <- h.data.(j);
+    h.data.(j) <- tmp
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if lt h.data.(i) h.data.(parent) then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.size && lt h.data.(l) h.data.(!smallest) then smallest := l;
+    if r < h.size && lt h.data.(r) h.data.(!smallest) then smallest := r;
+    if !smallest <> i then begin
+      swap h i !smallest;
+      sift_down h !smallest
+    end
+
+  let push h key value =
+    let e = { key; seq = h.next_seq; value } in
+    h.next_seq <- h.next_seq + 1;
+    if h.size = Array.length h.data then begin
+      let nd = Array.make (Stdlib.max 16 (2 * h.size)) e in
+      Array.blit h.data 0 nd 0 h.size;
+      h.data <- nd
+    end;
+    h.data.(h.size) <- e;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    if h.size = 0 then None
+    else begin
+      let top = h.data.(0) in
+      h.size <- h.size - 1;
+      if h.size > 0 then begin
+        h.data.(0) <- h.data.(h.size);
+        sift_down h 0
+      end;
+      Some (top.key, top.value)
+    end
+end
+
+(* Random interleavings of push and take, many equal keys: every take
+   (and the final drain) must give what the record heap gives, i.e. the
+   smallest key, earliest pushed first. Pushes outnumber takes, so the
+   queue grows through several capacity doublings with entries queued. *)
+let heapq_matches_reference_prop =
+  QCheck.Test.make ~name:"heapq: push/take interleavings match the record heap" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 3000) (option ~ratio:0.6 (int_bound 40)))
+    (fun ops ->
+      let h = Heapq.create () and r = Ref_heapq.create () in
+      let id = ref 0 in
+      let take_both () =
+        let k = Heapq.min_key h in
+        let v = Heapq.take h in
+        match Ref_heapq.pop r with
+        | Some (rk, rv) -> k = rk && v = rv
+        | None -> false
+      in
+      let ok =
+        List.for_all
+          (function
+            | Some key ->
+                incr id;
+                Heapq.push h key !id;
+                Ref_heapq.push r key !id;
+                Heapq.length h = r.Ref_heapq.size
+            | None -> Heapq.is_empty h || take_both ())
+          ops
+      in
+      let rec drain () = Heapq.is_empty h || (take_both () && drain ()) in
+      ok && drain () && Ref_heapq.pop r = None && Heapq.min_key h = max_int)
+
+let test_heapq_take_empty () =
+  Alcotest.check_raises "take on empty" (Invalid_argument "Heapq.take: empty") (fun () ->
+      ignore (Heapq.take (Heapq.create () : int Heapq.t)))
 
 let test_engine_ordering () =
   let c = Clock.create () in
@@ -342,6 +433,65 @@ let test_stats_refresh_allocation () =
   if words >= 1e6 then
     Alcotest.failf "100 refreshes of a 100k history allocated %.0f minor words (limit 1M)" words
 
+(* Heavy duplicates (a handful of values most of the time), plus the
+   wide and non-finite samples [gen_sample] draws. *)
+let gen_dup_sample rs =
+  if Random.State.int rs 4 = 0 then gen_sample rs
+  else 116_000.0 +. float_of_int (Random.State.int rs 6)
+
+let running_ps = [| 0.0; 50.0; 97.0; 99.9; 100.0 |]
+
+(* After every add, the running quantile is bit-for-bit the percentile
+   [Stats] computes over the same samples. *)
+let running_matches_percentile_prop =
+  QCheck.Test.make ~name:"stats: running quantile = percentile after every add" ~count:60
+    QCheck.(
+      triple (int_bound (Array.length running_ps - 1)) (int_range 1 2000) (int_bound 1_000_000))
+    (fun (pi, len, seed) ->
+      let p = running_ps.(pi) in
+      let rs = Random.State.make [| seed |] in
+      let q = Stats.Running.create p and s = Stats.create () in
+      let rec go i =
+        i > len
+        ||
+        let x = gen_dup_sample rs in
+        Stats.Running.add q x;
+        Stats.add s x;
+        let want = Stats.percentile s p and got = Stats.Running.get q in
+        (Int64.bits_of_float want = Int64.bits_of_float got
+        || (Float.is_nan want && Float.is_nan got))
+        && Stats.Running.count q = i
+        && go (i + 1)
+      in
+      go 1)
+
+let test_running_edges () =
+  let q = Stats.Running.create 97.0 in
+  Alcotest.(check bool) "empty is nan" true (Float.is_nan (Stats.Running.get q));
+  Alcotest.check_raises "nan p" (Invalid_argument "Stats.Running.create: p is nan")
+    (fun () -> ignore (Stats.Running.create nan));
+  let hi = Stats.Running.create 150.0 and lo = Stats.Running.create (-5.0) in
+  List.iter
+    (fun x ->
+      Stats.Running.add hi x;
+      Stats.Running.add lo x)
+    [ 3.0; 1.0; 2.0 ];
+  Alcotest.(check (float 0.0)) "p above 100 clamps" 3.0 (Stats.Running.get hi);
+  Alcotest.(check (float 0.0)) "p below 0 clamps" 1.0 (Stats.Running.get lo)
+
+(* Adding allocates nothing but heap growth, which goes to the major
+   heap: 100k adds of already-boxed samples stay far below one minor
+   word per add. *)
+let test_running_allocation () =
+  let xs = List.init 100_000 (fun i -> float_of_int ((i * 7919) mod 100_003)) in
+  let q = Stats.Running.create 97.0 in
+  List.iter (Stats.Running.add q) xs;
+  let before = Gc.minor_words () in
+  List.iter (Stats.Running.add q) xs;
+  let words = Gc.minor_words () -. before in
+  if words >= 50_000.0 then
+    Alcotest.failf "100k running-quantile adds allocated %.0f minor words" words
+
 let test_stats_nan_percentile () =
   let s = Stats.create () in
   let nan_p = Invalid_argument "Stats.percentile: p is nan" in
@@ -379,6 +529,8 @@ let suite =
     Alcotest.test_case "heapq ordering" `Quick test_heapq_order;
     Alcotest.test_case "heapq FIFO ties" `Quick test_heapq_fifo_ties;
     QCheck_alcotest.to_alcotest heapq_sorts_prop;
+    QCheck_alcotest.to_alcotest heapq_matches_reference_prop;
+    Alcotest.test_case "heapq take on empty raises" `Quick test_heapq_take_empty;
     Alcotest.test_case "engine ordering" `Quick test_engine_ordering;
     Alcotest.test_case "engine until" `Quick test_engine_until;
     Alcotest.test_case "engine cascade" `Quick test_engine_cascade;
@@ -391,6 +543,10 @@ let suite =
     Alcotest.test_case "stats: 110k samples, 70k unsorted tail" `Quick test_stats_large_tail;
     Alcotest.test_case "stats refresh allocates no history copy" `Quick test_stats_refresh_allocation;
     Alcotest.test_case "stats percentile rejects nan" `Quick test_stats_nan_percentile;
+    QCheck_alcotest.to_alcotest running_matches_percentile_prop;
+    Alcotest.test_case "stats running quantile: empty, nan, clamp" `Quick test_running_edges;
+    Alcotest.test_case "stats running quantile allocates nothing per add" `Quick
+      test_running_allocation;
     Alcotest.test_case "units formatting" `Quick test_units;
     Alcotest.test_case "cost table anchors (Table 1)" `Quick test_cost_table1;
   ]
